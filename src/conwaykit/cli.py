@@ -4,8 +4,8 @@ Subcommands compute invariants of a PD-coded diagram (conway, a2, lk),
 evaluate the torus-link recurrence and the knot-family product (torus,
 kn), or run the full verification harness (verify).  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success / all checks
-passed, 1 failed verification or exhausted node budget, 2 usage or
-input errors.
+passed, 1 failed verification, exhausted node budget or a broken engine
+invariant, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -16,7 +16,15 @@ import sys
 
 from .diagram import components, linking_number, parse_pd, pd_text
 from .poly import format_poly
-from .skein import NodeBudgetExceeded, SkeinContext, a2, conway, conway_Kn, conway_torus2
+from .skein import (
+    NodeBudgetExceeded,
+    SkeinContext,
+    SkeinInvariantError,
+    a2,
+    conway,
+    conway_Kn,
+    conway_torus2,
+)
 from .table import TableError
 from .verify import VerifyConfig, run_all
 
@@ -170,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(args, str(args.n), result)
             return 0
         return _run_verify(args)
-    except NodeBudgetExceeded as exc:
+    except (NodeBudgetExceeded, SkeinInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, TableError) as exc:

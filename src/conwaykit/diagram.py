@@ -26,8 +26,10 @@ Text grammar::
 from __future__ import annotations
 
 import re
+from bisect import insort
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from itertools import chain
+from typing import ClassVar, Iterable
 
 
 class PDSyntaxError(ValueError):
@@ -40,6 +42,22 @@ class PDSyntaxError(ValueError):
 
 class PDValidationError(ValueError):
     """Structurally invalid diagram (bad arc multiplicities or succession)."""
+
+
+class _cached:
+    """An attribute computed on first use and then stored on the instance,
+    as functools.cached_property does, but without the lock that one takes
+    on every first use before Python 3.12 (skein nodes make several)."""
+
+    def __init__(self, compute):
+        self.compute = compute
+        self.name = compute.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.compute(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -74,6 +92,10 @@ class Diagram:
 
     crossings: tuple[Crossing, ...] = ()
     free_loops: int = 0
+    # Positions of the only crossings that can take part in an R1/R2 move,
+    # or None when any can: reduce settles its result (empty set) and the
+    # moves on a settled diagram record which crossings they touched.
+    _unsettled: ClassVar[frozenset[int] | None] = None
 
     def arcs(self) -> set[int]:
         out: set[int] = set()
@@ -81,8 +103,82 @@ class Diagram:
             out.update(x.slots())
         return out
 
+    @_cached
+    def _arc_index(self) -> _ArcIndex:
+        # a diagram never changes, so one index serves every step on it
+        return _ArcIndex(self.crossings)
 
-EMPTY = Diagram()
+
+class _ArcIndex:
+    """Where each arc of a diagram starts and ends.
+
+    Crossing i has under-in arc u_in[i], under-out u_out[i], over-in o_in[i]
+    and over-out o_out[i].  end[arc] and start[arc] name the pass the arc
+    arrives at and leaves from: 2*i + 1 for the understrand of crossing i,
+    2*i for its overstrand; succ[arc] is the arc after it.  The component
+    walk (cycles, order) and the arc -> component map (owner) are computed
+    on first use.
+    """
+
+    def __init__(self, crossings: tuple[Crossing, ...]):
+        self.u_in: list[int] = []
+        self.o_in: list[int] = []
+        self.u_out: list[int] = []
+        self.o_out: list[int] = []
+        self.signs: list[int] = []
+        self.end: dict[int, int] = {}
+        self.start: dict[int, int] = {}
+        self.succ: dict[int, int] = {}
+        end, start, succ = self.end, self.start, self.succ
+        pass_code = 0
+        for x in crossings:
+            a, c = x.a, x.c
+            if x.over_in == "d":
+                oi, oo, sign = x.d, x.b, 1
+            else:
+                oi, oo, sign = x.b, x.d, -1
+            self.u_in.append(a)
+            self.o_in.append(oi)
+            self.u_out.append(c)
+            self.o_out.append(oo)
+            self.signs.append(sign)
+            end[a] = start[c] = pass_code + 1
+            end[oi] = start[oo] = pass_code
+            succ[a] = c
+            succ[oi] = oo
+            pass_code += 2
+
+    @_cached
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Arc cycles ordered by minimal arc, each from its minimal arc."""
+        succ = self.succ
+        seen: set[int] = set()
+        cycles = []
+        for first in sorted(succ):
+            if first in seen:
+                continue
+            cycle = [first]
+            arc = succ[first]
+            while arc != first:
+                cycle.append(arc)
+                arc = succ[arc]
+            cycles.append(tuple(cycle))
+            seen.update(cycle)
+            if len(seen) == len(succ):
+                break
+        return tuple(cycles)
+
+    @_cached
+    def order(self) -> dict[int, int]:
+        """Arc -> position from 1 along the cycles, in walk order."""
+        return dict(zip(chain.from_iterable(self.cycles), range(1, len(self.succ) + 1)))
+
+    @_cached
+    def owner(self) -> dict[int, int]:
+        """Arc -> index of its component in cycles."""
+        return {arc: k for k, cycle in enumerate(self.cycles) for arc in cycle}
+
+
 UNKNOT = Diagram(free_loops=1)
 
 
@@ -205,44 +301,13 @@ def pd_text(d: Diagram) -> str:
 # -- components and orientation-derived data ----------------------------------
 
 
-def _successor_table(d: Diagram) -> dict[int, int]:
-    succ: dict[int, int] = {}
-    for x in d.crossings:
-        succ[x.a] = x.c
-        succ[x.over_in_arc] = x.over_out_arc
-    return succ
-
-
 def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     """Arc cycles ordered by minimal arc, each starting at its minimal arc.
 
     Free loops contribute empty trailing cycles, so len(components(d)) is the
     component count of the link.
     """
-    succ = _successor_table(d)
-    seen: set[int] = set()
-    cycles: list[tuple[int, ...]] = []
-    for start in sorted(succ):
-        if start in seen:
-            continue
-        cycle = [start]
-        seen.add(start)
-        arc = succ[start]
-        while arc != start:
-            cycle.append(arc)
-            seen.add(arc)
-            arc = succ[arc]
-        cycles.append(tuple(cycle))
-    cycles.extend(() for _ in range(d.free_loops))
-    return tuple(cycles)
-
-
-def _component_index(d: Diagram) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for i, cycle in enumerate(components(d)):
-        for arc in cycle:
-            out[arc] = i
-    return out
+    return d._arc_index.cycles + ((),) * d.free_loops
 
 
 def sign(d: Diagram, x: Crossing) -> int:
@@ -268,14 +333,18 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
         raise ValueError(f"component index out of range (diagram has {n})")
     if c1 == c2:
         raise ValueError("linking number needs two distinct components")
-    owner = _component_index(d)
+    owner = d._arc_index.owner
     total = 0
     wanted = {c1, c2}
     for x in d.crossings:
         if {owner[x.a], owner[x.over_in_arc]} == wanted:
             total += x.sign
-    # inter-component crossings come in sign-balanced pairs mod 2
-    assert total % 2 == 0, "odd inter-component crossing sum (non-planar input?)"
+    # in a planar diagram two components cross an even number of times
+    if total % 2:
+        raise PDValidationError(
+            f"components {c1} and {c2} cross an odd number of times;"
+            " the PD code is not planar"
+        )
     return total // 2
 
 
@@ -283,6 +352,11 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
 
 
 def _crossing_index(d: Diagram, x: Crossing) -> int:
+    try:
+        # by identity first: comparing crossings field by field is slow
+        return list(map(id, d.crossings)).index(id(x))
+    except ValueError:
+        pass
     try:
         return d.crossings.index(x)
     except ValueError:
@@ -296,7 +370,11 @@ def switch_crossing(d: Diagram, x: Crossing) -> Diagram:
         y = Crossing(x.d, x.a, x.b, x.c, "b")
     else:
         y = Crossing(x.b, x.c, x.d, x.a, "d")
-    return Diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
+    out = Diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
+    if d._unsettled is not None:
+        # a switch keeps every kink status; new R2 pairs all contain i
+        object.__setattr__(out, "_unsettled", d._unsettled | {i})
+    return out
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -338,20 +416,8 @@ def _remove_crossings(d: Diagram, gone: set[int], bridges: dict[int, int]) -> Di
             if arc == start:
                 break
         loops += 1
-    kept = []
-    for i, x in enumerate(d.crossings):
-        if i in gone:
-            continue
-        kept.append(
-            Crossing(
-                mapping.get(x.a, x.a),
-                mapping.get(x.b, x.b),
-                mapping.get(x.c, x.c),
-                mapping.get(x.d, x.d),
-                x.over_in,
-            )
-        )
-    return Diagram(tuple(kept), loops)
+    kept = tuple(x for i, x in enumerate(d.crossings) if i not in gone)
+    return _relabel(Diagram(kept, loops), mapping)
 
 
 def smooth_crossing(d: Diagram, x: Crossing) -> Diagram:
@@ -361,33 +427,18 @@ def smooth_crossing(d: Diagram, x: Crossing) -> Diagram:
     exactly one.  A fused run with no remaining crossings becomes a free loop.
     """
     i = _crossing_index(d, x)
-    return _remove_crossings(d, {i}, {x.a: x.over_out_arc, x.over_in_arc: x.c})
+    out = _remove_crossings(d, {i}, {x.a: x.over_out_arc, x.over_in_arc: x.c})
+    if d._unsettled is not None:
+        # only the crossings on a fused arc (those _relabel rebuilt) can
+        # gain a kink or an R2 partner
+        kept = d.crossings[:i] + d.crossings[i + 1 :]
+        unsettled = {j for j, y in enumerate(out.crossings) if y is not kept[j]}
+        unsettled.update(j - (j > i) for j in d._unsettled if j != i)
+        object.__setattr__(out, "_unsettled", frozenset(unsettled))
+    return out
 
 
 # -- Reidemeister reduction ----------------------------------------------------
-
-
-def _r1_index(d: Diagram) -> int | None:
-    for i, x in enumerate(d.crossings):
-        # a kink shares one arc between its over and under passes
-        if x.c == x.over_in_arc or x.a == x.over_out_arc:
-            return i
-    return None
-
-
-def _r2_pair(d: Diagram) -> tuple[int, int] | None:
-    for i, x in enumerate(d.crossings):
-        for j in range(i + 1, len(d.crossings)):
-            y = d.crossings[j]
-            if x.sign == y.sign:
-                continue
-            over_direct = (
-                x.over_out_arc == y.over_in_arc or y.over_out_arc == x.over_in_arc
-            )
-            under_direct = x.c == y.a or y.c == x.a
-            if over_direct and under_direct:
-                return i, j
-    return None
 
 
 def reduce(d: Diagram) -> Diagram:
@@ -395,70 +446,136 @@ def reduce(d: Diagram) -> Diagram:
 
     Both moves preserve the link type, hence the Conway polynomial.  No other
     moves are attempted; the result is generally not a minimal diagram.
+    The first kink in crossing order is removed first; with no kink left,
+    the lexicographically first R2 pair (i, j), i < j, goes next.
     """
-    while True:
-        i = _r1_index(d)
-        if i is not None:
-            x = d.crossings[i]
-            d = _remove_crossings(
-                d, {i}, {x.a: x.c, x.over_in_arc: x.over_out_arc}
-            )
-            continue
-        pair = _r2_pair(d)
-        if pair is not None:
-            i, j = pair
-            x, y = d.crossings[i], d.crossings[j]
-            bridges = {x.a: x.c, y.a: y.c}
-            bridges[x.over_in_arc] = x.over_out_arc
-            bridges[y.over_in_arc] = y.over_out_arc
-            d = _remove_crossings(d, {i, j}, bridges)
-            continue
+    index = d._arc_index
+    u_in, o_in, u_out, o_out = index.u_in, index.o_in, index.u_out, index.o_out
+    end, start, signs = index.end, index.start, index.signs
+    n = len(signs)
+
+    def is_kink(i: int) -> bool:
+        # a kink shares one arc between its over and under passes
+        return u_out[i] == o_in[i] or u_in[i] == o_out[i]
+
+    def partners(i: int) -> list[int]:
+        # opposite-sign crossings joined to i by an under arc and an over
+        # arc: u is the under pass of crossing j = u >> 1, and u - 1 is
+        # the over pass of j
+        overs = (end[o_out[i]], start[o_in[i]])
+        found = []
+        for u in (end[u_out[i]], start[u_in[i]]):
+            j = u >> 1
+            if u & 1 and u - 1 in overs and j != i and signs[j] != signs[i]:
+                found.append(j)
+        return found
+
+    def drop_pass(i: int, under: bool) -> None:
+        # join the arc into the pass to the arc out of it; as in
+        # _remove_crossings, the joined arc keeps the smaller label
+        nonlocal loops
+        u, v = (u_in[i], u_out[i]) if under else (o_in[i], o_out[i])
+        del end[u], start[v]
+        if u == v:
+            loops += 1  # the arc closes into a crossingless circle
+            return
+        s, e = start.pop(u), end.pop(v)  # where u starts and v ends
+        r = min(u, v)
+        start[r], end[r] = s, e
+        (u_out if s & 1 else o_out)[s >> 1] = r
+        (u_in if e & 1 else o_in)[e >> 1] = r
+        touched.update((s >> 1, e >> 1))
+
+    # sorted worklists of the crossings that may be a kink or have an R2
+    # partner; each is checked again when taken, and crossings next to a
+    # move are added again
+    candidates = range(n) if d._unsettled is None else sorted(d._unsettled)
+    kinks = [i for i in candidates if is_kink(i)]
+    pairs = sorted({k for i in candidates for j in partners(i) for k in (i, j)})
+    if not kinks and not pairs:
+        object.__setattr__(d, "_unsettled", frozenset())
         return d
+    # moves rewrite the incidences, so the helpers above switch to copies
+    u_in, o_in, u_out, o_out = list(u_in), list(o_in), list(u_out), list(o_out)
+    end, start = dict(end), dict(start)
+    alive = [True] * n
+    loops = d.free_loops
+    touched: set[int] = set()
+    changed: set[int] = set()
+    while True:
+        move: list[int] = []
+        while kinks and not move:
+            i = kinks.pop(0)
+            if alive[i] and is_kink(i):
+                move = [i]
+        while pairs and not move:
+            i = pairs.pop(0)
+            if alive[i]:
+                found = partners(i)
+                if found:
+                    move = [i, min(found)]
+        if not move:
+            break
+        touched.clear()
+        for i in move:
+            alive[i] = False
+            drop_pass(i, True)
+            drop_pass(i, False)
+        changed |= touched
+        for i in touched:
+            if alive[i]:
+                if is_kink(i):
+                    insort(kinks, i)
+                for j in [i] + partners(i):
+                    insort(pairs, j)
+    kept = []
+    for i, x in enumerate(d.crossings):
+        if not alive[i]:
+            continue
+        if i in changed:
+            b, d_ = (o_out[i], o_in[i]) if x.over_in == "d" else (o_in[i], o_out[i])
+            x = Crossing(u_in[i], b, u_out[i], d_, x.over_in)
+        kept.append(x)
+    out = Diagram(tuple(kept), loops)
+    object.__setattr__(out, "_unsettled", frozenset())
+    return out
 
 
 def is_graph_connected(d: Diagram) -> bool:
     """True when the diagram is one piece as a 4-valent graph.
 
     Free loops count as separate pieces.  The empty diagram is connected.
+    Two link components are in one piece when they cross, so the pieces
+    are the classes of the union, over all crossings, of the components
+    of its under and over arcs.
     """
-    n = len(d.crossings)
     pieces = d.free_loops
-    if n == 0:
+    if not d.crossings:
         return pieces <= 1
     if pieces:
         return False
-    arc_home: dict[int, int] = {}
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i, x in enumerate(d.crossings):
-        for arc in x.slots():
-            if arc in arc_home:
-                ri, rj = find(arc_home[arc]), find(i)
-                parent[ri] = rj
-            else:
-                arc_home[arc] = i
-    return len({find(i) for i in range(n)}) == 1
+    index = d._arc_index
+    if len(index.cycles) == 1:
+        return True
+    owner = index.owner
+    piece = list(range(len(index.cycles)))  # component -> piece label
+    for a, oi in zip(index.u_in, index.o_in):
+        p, q = piece[owner[a]], piece[owner[oi]]
+        if p != q:
+            piece = [p if r == q else r for r in piece]
+    return len(set(piece)) == 1
 
 
 # -- canonical form -----------------------------------------------------------
 
 
 def _relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
+    get = mapping.get
     return Diagram(
         tuple(
-            Crossing(
-                mapping.get(x.a, x.a),
-                mapping.get(x.b, x.b),
-                mapping.get(x.c, x.c),
-                mapping.get(x.d, x.d),
-                x.over_in,
-            )
+            Crossing(get(x.a, x.a), get(x.b, x.b), get(x.c, x.c), get(x.d, x.d), x.over_in)
+            if x.a in mapping or x.b in mapping or x.c in mapping or x.d in mapping
+            else x
             for x in d.crossings
         ),
         d.free_loops,
@@ -474,15 +591,9 @@ def canonical_code(d: Diagram) -> str:
     diagrams that differ only by an order-preserving relabeling of arcs get
     the same code.
     """
-    mapping: dict[int, int] = {}
-    for cycle in components(d):
-        for arc in cycle:
-            mapping[arc] = len(mapping) + 1
-    relabeled = _relabel(d, mapping)
-    items = sorted((x.a, x.b, x.c, x.d) for x in relabeled.crossings)
-    parts = [f"X({a},{b},{c},{d})" for a, b, c, d in items]
-    parts += ["O"] * d.free_loops
-    return ";".join(parts)
+    order = d._arc_index.order
+    items = sorted((order[x.a], order[x.b], order[x.c], order[x.d]) for x in d.crossings)
+    return ";".join(["X(%d,%d,%d,%d)" % item for item in items] + ["O"] * d.free_loops)
 
 
 # -- constructions ------------------------------------------------------------

@@ -14,6 +14,8 @@ decreases lexicographically and the recursion terminates.
 
 Values are memoized on canonical diagram codes in a SkeinContext, which
 also carries a node budget so runaway inputs fail fast instead of hanging.
+The recursion runs on an explicit stack, so diagram size is bounded by the
+node budget, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ class NodeBudgetExceeded(RuntimeError):
     """
 
 
+class SkeinInvariantError(RuntimeError):
+    """A switch step failed to lower the (crossings, under-first) measure.
+
+    On a valid diagram this cannot happen; it stops the computation rather
+    than risk a search that never ends.
+    """
+
+
 @dataclass
 class SkeinContext:
     """Shared memo table and accounting for a batch of computations.
@@ -65,23 +75,21 @@ def _first_visit_scan(d: Diagram) -> tuple[int | None, int]:
     ascending order of minimal arc label, each starting from its minimal
     arc; a crossing is classified by the strand of its first visit.
     """
-    end_at: dict[int, tuple[int, bool]] = {}
-    for i, x in enumerate(d.crossings):
-        end_at[x.a] = (i, True)
-        end_at[x.over_in_arc] = (i, False)
-    seen: set[int] = set()
+    index = d._arc_index
+    end = index.end
+    seen = bytearray(len(d.crossings))
     first_bad: int | None = None
     bad = 0
-    for comp in components(d):
-        for arc in comp:
-            i, under = end_at[arc]
-            if i in seen:
-                continue
-            seen.add(i)
-            if under:
-                bad += 1
-                if first_bad is None:
-                    first_bad = i
+    for arc in index.order:
+        e = end[arc]
+        i = e >> 1
+        if seen[i]:
+            continue
+        seen[i] = 1
+        if e & 1:
+            bad += 1
+            if first_bad is None:
+                first_bad = i
     return first_bad, bad
 
 
@@ -97,15 +105,19 @@ def conway(d: Diagram, ctx: SkeinContext | None = None) -> IntPoly:
 
 
 def _conway(d: Diagram, ctx: SkeinContext) -> IntPoly:
-    # Switch chains are unrolled iteratively: pending holds, outermost
-    # first, the memo key of each chain diagram together with the signed
-    # z * nabla(smoothing) term its skein step contributed.  Recursion
-    # happens only on smoothings, so the depth is bounded by the crossing
-    # count of the original diagram.
+    # A switch chain runs in the loop: pending holds, outermost first, the
+    # memo key of each chain diagram together with the signed
+    # z * nabla(smoothing) term its skein step contributed.  A smoothing
+    # starts a new chain; the chain that needs its value waits on
+    # `suspended` as (pending, switched diagram, measure, key, sign) and
+    # resumes at the switched diagram once the value is known.  Holding the
+    # switched diagram rather than the current one lets the current one's
+    # arc index be freed while the smoothing is computed.
+    suspended: list[tuple[list, Diagram, tuple[int, int], str, int]] = []
     pending: list[tuple[str, int, IntPoly]] = []
     current = d
     prev_measure: tuple[int, int] | None = None
-    value: IntPoly
+    memo = ctx.memo
     while True:
         ctx.nodes_expanded += 1
         if ctx.nodes_expanded > ctx.node_budget:
@@ -116,33 +128,37 @@ def _conway(d: Diagram, ctx: SkeinContext) -> IntPoly:
             current = _reduce(current)
         if not is_graph_connected(current):
             value = IntPoly.zero()
-            break
-        if not current.crossings:
+        elif not current.crossings:
             # connected and crossingless: one circle, or nothing at all
             value = IntPoly.one()
-            break
-        key = canonical_code(current)
-        cached = ctx.memo.get(key)
-        if cached is not None:
-            ctx.cache_hits += 1
-            value = cached
-            break
-        bad_index, bad_count = _first_visit_scan(current)
-        measure = (len(current.crossings), bad_count)
-        assert prev_measure is None or measure < prev_measure
-        prev_measure = measure
-        if bad_index is None:
-            value = IntPoly.one() if len(components(current)) == 1 else IntPoly.zero()
-            ctx.memo[key] = value
-            break
-        x = current.crossings[bad_index]
-        term = _conway(smooth_crossing(current, x), ctx).shift(1)
-        pending.append((key, x.sign, term))
-        current = switch_crossing(current, x)
-    for key, s, term in reversed(pending):
-        value = value + term if s > 0 else value - term
-        ctx.memo[key] = value
-    return value
+        else:
+            key = canonical_code(current)
+            cached = memo.get(key)
+            if cached is not None:
+                ctx.cache_hits += 1
+                value = cached
+            else:
+                bad_index, bad_count = _first_visit_scan(current)
+                measure = (len(current.crossings), bad_count)
+                if prev_measure is not None and not measure < prev_measure:
+                    raise SkeinInvariantError(
+                        "skein measure %r did not drop below %r" % (measure, prev_measure)
+                    )
+                if bad_index is not None:
+                    x = current.crossings[bad_index]
+                    switched = switch_crossing(current, x)
+                    suspended.append((pending, switched, measure, key, x.sign))
+                    pending, current, prev_measure = [], smooth_crossing(current, x), None
+                    continue
+                value = IntPoly.one() if len(current._arc_index.cycles) == 1 else IntPoly.zero()
+                memo[key] = value
+        for key, s, term in reversed(pending):
+            value = value + term if s > 0 else value - term
+            memo[key] = value
+        if not suspended:
+            return value
+        pending, current, prev_measure, key, sign = suspended.pop()
+        pending.append((key, sign, value.shift(1)))
 
 
 def conway_torus2(m: int) -> IntPoly:

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import conwaykit
 from conwaykit.cli import main
 
 TREFOIL = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
@@ -75,6 +80,22 @@ def test_lk_knot_has_no_pairs(capsys):
     code, out, err = run(capsys, "lk", "--pd", TREFOIL)
     assert (code, out) == (0, "")
     assert "single component" in err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_lk_of_non_planar_code_is_an_input_error(flags):
+    # components 0 and 1 cross three times: no planar diagram does that;
+    # the check must survive python -O, which strips assert statements
+    src = str(Path(conwaykit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "conwaykit.cli", "lk", "--pd",
+         "X(3,2,1,4);X(6,3,2,5);X(4,5,6,1)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
 def test_pd_from_file(capsys, tmp_path):

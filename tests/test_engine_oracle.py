@@ -1,0 +1,279 @@
+"""The indexed engine against the straightforward implementations it replaced.
+
+The reference functions below are the all-pairs Reidemeister search, the
+arc-level connectivity test and the canonical code built from relabelled
+Crossing objects, kept verbatim as oracles.  The indexed versions in
+conwaykit.diagram must agree with them exactly: the same R1/R2 moves in the
+same order give the same reduced diagram, and with it the same memo keys,
+node counts and polynomials.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from conwaykit import skein
+from conwaykit.diagram import (
+    Crossing,
+    Diagram,
+    _braid_closure,
+    canonical_code,
+    components,
+    is_graph_connected,
+    reduce,
+    smooth_crossing,
+    switch_crossing,
+)
+from conwaykit.skein import SkeinContext, conway
+
+# -- reference implementations ----------------------------------------------------
+
+
+def ref_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
+    succ: dict[int, int] = {}
+    for x in d.crossings:
+        succ[x.a] = x.c
+        succ[x.over_in_arc] = x.over_out_arc
+    seen: set[int] = set()
+    cycles: list[tuple[int, ...]] = []
+    for start in sorted(succ):
+        if start in seen:
+            continue
+        cycle = [start]
+        seen.add(start)
+        arc = succ[start]
+        while arc != start:
+            cycle.append(arc)
+            seen.add(arc)
+            arc = succ[arc]
+        cycles.append(tuple(cycle))
+    cycles.extend(() for _ in range(d.free_loops))
+    return tuple(cycles)
+
+
+def ref_remove_crossings(d: Diagram, gone: set[int], bridges: dict[int, int]) -> Diagram:
+    mapping: dict[int, int] = {}
+    loops = d.free_loops
+    heads = set(bridges) - set(bridges.values())
+    visited: set[int] = set()
+    for head in sorted(heads):
+        run = [head]
+        while run[-1] in bridges:
+            run.append(bridges[run[-1]])
+        target = min(run)
+        for arc in run:
+            mapping[arc] = target
+        visited.update(run)
+    for start in sorted(bridges):
+        if start in visited:
+            continue
+        arc = start
+        while True:
+            visited.add(arc)
+            arc = bridges[arc]
+            if arc == start:
+                break
+        loops += 1
+    kept = []
+    for i, x in enumerate(d.crossings):
+        if i in gone:
+            continue
+        kept.append(
+            Crossing(
+                mapping.get(x.a, x.a),
+                mapping.get(x.b, x.b),
+                mapping.get(x.c, x.c),
+                mapping.get(x.d, x.d),
+                x.over_in,
+            )
+        )
+    return Diagram(tuple(kept), loops)
+
+
+def ref_r1_index(d: Diagram) -> int | None:
+    for i, x in enumerate(d.crossings):
+        if x.c == x.over_in_arc or x.a == x.over_out_arc:
+            return i
+    return None
+
+
+def ref_r2_pair(d: Diagram) -> tuple[int, int] | None:
+    for i, x in enumerate(d.crossings):
+        for j in range(i + 1, len(d.crossings)):
+            y = d.crossings[j]
+            if x.sign == y.sign:
+                continue
+            over_direct = (
+                x.over_out_arc == y.over_in_arc or y.over_out_arc == x.over_in_arc
+            )
+            under_direct = x.c == y.a or y.c == x.a
+            if over_direct and under_direct:
+                return i, j
+    return None
+
+
+def ref_reduce(d: Diagram) -> Diagram:
+    while True:
+        i = ref_r1_index(d)
+        if i is not None:
+            x = d.crossings[i]
+            d = ref_remove_crossings(d, {i}, {x.a: x.c, x.over_in_arc: x.over_out_arc})
+            continue
+        pair = ref_r2_pair(d)
+        if pair is not None:
+            i, j = pair
+            x, y = d.crossings[i], d.crossings[j]
+            bridges = {x.a: x.c, y.a: y.c}
+            bridges[x.over_in_arc] = x.over_out_arc
+            bridges[y.over_in_arc] = y.over_out_arc
+            d = ref_remove_crossings(d, {i, j}, bridges)
+            continue
+        return d
+
+
+def ref_is_graph_connected(d: Diagram) -> bool:
+    n = len(d.crossings)
+    pieces = d.free_loops
+    if n == 0:
+        return pieces <= 1
+    if pieces:
+        return False
+    arc_home: dict[int, int] = {}
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i, x in enumerate(d.crossings):
+        for arc in x.slots():
+            if arc in arc_home:
+                ri, rj = find(arc_home[arc]), find(i)
+                parent[ri] = rj
+            else:
+                arc_home[arc] = i
+    return len({find(i) for i in range(n)}) == 1
+
+
+def ref_relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
+    return Diagram(
+        tuple(
+            Crossing(
+                mapping.get(x.a, x.a),
+                mapping.get(x.b, x.b),
+                mapping.get(x.c, x.c),
+                mapping.get(x.d, x.d),
+                x.over_in,
+            )
+            for x in d.crossings
+        ),
+        d.free_loops,
+    )
+
+
+def ref_canonical_code(d: Diagram) -> str:
+    mapping: dict[int, int] = {}
+    for cycle in ref_components(d):
+        for arc in cycle:
+            mapping[arc] = len(mapping) + 1
+    relabeled = ref_relabel(d, mapping)
+    items = sorted((x.a, x.b, x.c, x.d) for x in relabeled.crossings)
+    parts = [f"X({a},{b},{c},{d})" for a, b, c, d in items]
+    parts += ["O"] * d.free_loops
+    return ";".join(parts)
+
+
+# -- inputs ---------------------------------------------------------------------
+
+
+def relabeled(d: Diagram, rng: random.Random) -> Diagram:
+    """d with its components in a random order, each from a random
+    basepoint, labelled along that walk, and its crossings shuffled.
+    Every other call also scatters the labels by a random injection."""
+    cycles = [list(c) for c in ref_components(d) if c]
+    rng.shuffle(cycles)
+    walk: list[int] = []
+    for cycle in cycles:
+        k = rng.randrange(len(cycle))
+        walk += cycle[k:] + cycle[:k]
+    labels = list(range(1, len(walk) + 1))
+    if rng.random() < 0.5:
+        labels = sorted(rng.sample(range(1, 5 * len(walk) + 1), len(walk)))
+        rng.shuffle(labels)
+    new = dict(zip(walk, labels))
+    xs = [
+        Crossing(new[x.a], new[x.b], new[x.c], new[x.d], x.over_in) for x in d.crossings
+    ]
+    rng.shuffle(xs)
+    return Diagram(tuple(xs), d.free_loops)
+
+
+def random_diagrams(seed: int, count: int) -> list[Diagram]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        strands = rng.randint(3, 4)
+        length = rng.randint(1, 20)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)]
+        out.append(relabeled(_braid_closure(word, strands), rng))
+    return out
+
+
+def fresh(d: Diagram) -> Diagram:
+    """An equal diagram that carries nothing cached from earlier steps."""
+    return Diagram(d.crossings, d.free_loops)
+
+
+def assert_agrees(d: Diagram) -> Diagram:
+    """Check one diagram; returns its reduction."""
+    want = ref_reduce(fresh(d))
+    got = reduce(d)
+    assert got == want, d
+    assert is_graph_connected(got) == ref_is_graph_connected(want)
+    assert components(got) == ref_components(want)
+    if want.crossings:
+        assert canonical_code(got) == ref_canonical_code(want)
+    return got
+
+
+# -- tests ----------------------------------------------------------------------
+
+
+def test_reduce_connectivity_and_key_agree_on_random_relabelled_closures():
+    rng = random.Random(5)
+    for d in random_diagrams(11, 300):
+        r = assert_agrees(d)
+        # children of a reduced diagram take the reduction's shortcut: only
+        # crossings next to the move are searched for R1/R2 moves
+        for x in rng.sample(r.crossings, min(3, len(r.crossings))):
+            for child in (smooth_crossing(r, x), switch_crossing(r, x)):
+                assert_agrees(child)
+
+
+def test_every_engine_node_agrees_with_the_references(monkeypatch):
+    nodes = 0
+
+    def checked_reduce(d: Diagram) -> Diagram:
+        nonlocal nodes
+        nodes += 1
+        return assert_agrees(d)
+
+    monkeypatch.setattr(skein, "_reduce", checked_reduce)
+    for d in random_diagrams(12, 120):
+        ctx = SkeinContext()
+        conway(d, ctx)
+    assert nodes > 2000
+
+
+@pytest.mark.parametrize("word", [(1, -2) * 7, (1, 2) * 9, (1, -2, 3) * 5])
+def test_reduce_of_unreduced_inputs_matches_reference(word):
+    rng = random.Random(len(word))
+    d = _braid_closure(word, max(abs(w) for w in word) + 1)
+    for x in d.crossings[::3]:
+        d = switch_crossing(d, x)
+    for _ in range(5):
+        assert_agrees(relabeled(d, rng))

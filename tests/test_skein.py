@@ -10,6 +10,7 @@ seeded random braid closures.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -28,9 +29,11 @@ from conwaykit.diagram import (
     torus2_diagram,
 )
 from conwaykit.poly import IntPoly, parse_poly
+from conwaykit import skein
 from conwaykit.skein import (
     NodeBudgetExceeded,
     SkeinContext,
+    SkeinInvariantError,
     a2,
     check_a2_skein,
     check_skein_identity,
@@ -305,6 +308,34 @@ def test_budget_enforcement():
     ctx = SkeinContext(node_budget=100)
     assert conway(torus2_diagram(3), ctx) == parse_poly("1+z^2")
     assert 0 < ctx.nodes_expanded <= 100
+
+
+def test_deep_smoothing_chains_need_no_recursion():
+    # torus2_diagram(300) smooths 299 times in a row; the engine must not
+    # spend a Python frame on each
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        value = conway(torus2_diagram(300))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert value == conway_torus2(300)
+
+
+def test_measure_that_does_not_drop_raises_a_typed_error(monkeypatch):
+    real_scan = skein._first_visit_scan
+
+    def stuck_scan(d):
+        index, _ = real_scan(d)
+        return index, 1  # claims the switch removed no under-first crossing
+
+    monkeypatch.setattr(skein, "_first_visit_scan", stuck_scan)
+    monkeypatch.setattr(skein, "_reduce", lambda d: d)
+    with pytest.raises(SkeinInvariantError):
+        conway(parse_pd("X(1,4,2,5);X(5,2,6,3);X(3,6,4,1)"))
 
 
 def test_memo_reuse():
