@@ -11,6 +11,7 @@ invariant, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -27,6 +28,16 @@ from .skein import (
 )
 from .table import TableError
 from .verify import VerifyConfig, run_all
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of the index bounds and the node budget."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -50,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         src.add_argument("--pd", help="PD code, e.g. 'X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)'")
         src.add_argument("--file", help="file containing a PD code")
         p.add_argument(
-            "--budget", type=int, default=None, help="node budget for the skein search"
+            "--budget", type=_positive_int, help="node budget for the skein search"
         )
         add_common(p)
         return p
@@ -68,9 +79,13 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="run every verification check")
-    p.add_argument("--max-n", type=int, default=50, dest="max_n")
-    p.add_argument("--max-l", type=int, default=50, dest="max_l")
-    p.add_argument("--max-r", type=int, default=50, dest="max_r")
+    for bound in ("max_n", "max_l", "max_r"):
+        p.add_argument(
+            "--" + bound.replace("_", "-"),
+            type=_positive_int,
+            default=getattr(VerifyConfig, bound),
+            dest=bound,
+        )
     add_common(p)
 
     return parser
@@ -130,17 +145,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
         for r in reports:
-            print(
-                json.dumps(
-                    {
-                        "check_name": r.check_name,
-                        "inputs": r.inputs,
-                        "expected": r.expected,
-                        "computed": r.computed,
-                        "passed": r.passed,
-                    }
-                )
-            )
+            print(json.dumps(dataclasses.asdict(r)))
     else:
         for r in reports:
             if r.passed:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 
 from .diagram import (
     Diagram,
@@ -79,6 +81,18 @@ def _report(name: str, inputs: str, expected: str, computed: str) -> Verificatio
     return VerificationReport(name, inputs, expected, computed, expected == computed)
 
 
+def _tally(
+    name: str, inputs: str, bad: list[str], total: int, what: str
+) -> VerificationReport:
+    """One report for a sweep: how many of its checks went wrong, and the
+    first of them."""
+    expected = f"0 {what} in {total} checks"
+    computed = (
+        expected if not bad else f"{len(bad)} {what} in {total} checks, first: {bad[0]}"
+    )
+    return _report(name, inputs, expected, computed)
+
+
 def a2_A(n: int, l: int, r: int) -> int:
     """Closed form for the z^2 coefficient of the first knot family."""
     if n < 0 or l < 0 or r < 0:
@@ -103,89 +117,53 @@ def a3_of(n: int) -> int:
     )
 
 
+# One row per induction increment: (family, stepped index, swept indices,
+# c_l, c_r, c_0).  A row checks f(p) - f(p - e_step) = c_l*l + c_r*r + c_0
+# with the stepped index from 1 and the other swept indices from 0 up to
+# their bounds; indices that are not swept stay at 0.
+_STEPS = (
+    ("A", "l", "l", 8, 0, 2),
+    ("A", "r", "lr", 2, 2, 4),
+    ("A", "n", "nlr", 0, 0, -2),
+    ("B", "l", "l", 4, 0, 8),
+    ("B", "r", "lr", 2, 2, 4),
+    ("B", "n", "nlr", 0, 0, -2),
+)
+
+
 def check_recurrences(max_n: int, max_l: int, max_r: int) -> list[VerificationReport]:
     """Verify the six induction increments of the closed forms on the
     full index box [0..max] (one aggregated report per identity)."""
     if max_n < 1 or max_l < 1 or max_r < 1:
         raise ValueError("bounds must be >= 1")
-
-    def sweep(name: str, inputs: str, mismatches: list[str], total: int):
-        expected = f"0 mismatches in {total} checks"
-        computed = (
-            expected
-            if not mismatches
-            else f"{len(mismatches)} mismatches in {total} checks, first: {mismatches[0]}"
-        )
-        return _report(name, inputs, expected, computed)
-
+    top = {"n": max_n, "l": max_l, "r": max_r}
     reports = []
-
-    bad, total = [], 0
-    for l in range(1, max_l + 1):
-        total += 1
-        if a2_A(0, l, 0) - a2_A(0, l - 1, 0) != 8 * l + 2:
-            bad.append(f"l={l}")
-    reports.append(sweep("recurrence_A_l_step", f"1 <= l <= {max_l}", bad, total))
-
-    bad, total = [], 0
-    for l in range(0, max_l + 1):
-        for r in range(1, max_r + 1):
-            total += 1
-            if a2_A(0, l, r) - a2_A(0, l, r - 1) != 2 * l + 2 * r + 4:
-                bad.append(f"l={l},r={r}")
-    reports.append(
-        sweep("recurrence_A_r_step", f"0 <= l <= {max_l}, 1 <= r <= {max_r}", bad, total)
-    )
-
-    bad, total = [], 0
-    for n in range(1, max_n + 1):
-        for l in range(0, max_l + 1):
-            for r in range(0, max_r + 1):
-                total += 1
-                if a2_A(n, l, r) - a2_A(n - 1, l, r) != -2:
-                    bad.append(f"n={n},l={l},r={r}")
-    reports.append(
-        sweep(
-            "recurrence_A_n_step",
-            f"1 <= n <= {max_n}, 0 <= l <= {max_l}, 0 <= r <= {max_r}",
-            bad,
-            total,
+    for family, step, swept, c_l, c_r, c_0 in _STEPS:
+        f = a2_A if family == "A" else a2_B
+        dn, dl, dr = (int(k == step) for k in "nlr")
+        axes = {k: range(int(k == step), top[k] + 1) for k in swept}
+        # the increment depends on (l, r) only: work it out once per point
+        # of the plane, not once per n
+        plane = [
+            (l, r, l - dl, r - dr, c_l * l + c_r * r + c_0)
+            for l, r in product(axes.get("l", (0,)), axes.get("r", (0,)))
+        ]
+        label = ",".join(f"{k}={{{k}}}" for k in swept)  # e.g. "l={l},r={r}"
+        bad = [
+            label.format(n=n, l=l, r=r)
+            for n in axes.get("n", (0,))
+            for l, r, prev_l, prev_r, inc in plane
+            if f(n, l, r) - f(n - dn, prev_l, prev_r) != inc
+        ]
+        reports.append(
+            _tally(
+                f"recurrence_{family}_{step}_step",
+                ", ".join(f"{a.start} <= {k} <= {top[k]}" for k, a in axes.items()),
+                bad,
+                prod(map(len, axes.values())),
+                "mismatches",
+            )
         )
-    )
-
-    bad, total = [], 0
-    for l in range(1, max_l + 1):
-        total += 1
-        if a2_B(0, l, 0) - a2_B(0, l - 1, 0) != 4 * l + 8:
-            bad.append(f"l={l}")
-    reports.append(sweep("recurrence_B_l_step", f"1 <= l <= {max_l}", bad, total))
-
-    bad, total = [], 0
-    for l in range(0, max_l + 1):
-        for r in range(1, max_r + 1):
-            total += 1
-            if a2_B(0, l, r) - a2_B(0, l, r - 1) != 2 * l + 2 * r + 4:
-                bad.append(f"l={l},r={r}")
-    reports.append(
-        sweep("recurrence_B_r_step", f"0 <= l <= {max_l}, 1 <= r <= {max_r}", bad, total)
-    )
-
-    bad, total = [], 0
-    for n in range(1, max_n + 1):
-        for l in range(0, max_l + 1):
-            for r in range(0, max_r + 1):
-                total += 1
-                if a2_B(n, l, r) - a2_B(n - 1, l, r) != -2:
-                    bad.append(f"n={n},l={l},r={r}")
-    reports.append(
-        sweep(
-            "recurrence_B_n_step",
-            f"1 <= n <= {max_n}, 0 <= l <= {max_l}, 0 <= r <= {max_r}",
-            bad,
-            total,
-        )
-    )
-
     return reports
 
 
@@ -200,14 +178,16 @@ def theorem_sum_check(max_n: int) -> list[VerificationReport]:
     subst_bad: list[str] = []
     zero_bad: list[str] = []
     sign_bad: list[str] = []
+    subst = 0  # sum_{j<n} (2j^2-4j), kept as a running total
     for n in range(1, max_n + 1):
         v = a3_of(n)
+        subst += 2 * (n - 1) ** 2 - 4 * (n - 1)
         numerator = n * (n - 1) * (2 * n - 7)
         if numerator % 3 != 0:
             closed_bad.append(f"n={n}: {numerator} not divisible by 3")
         elif v != numerator // 3:
             closed_bad.append(f"n={n}: {v} != {numerator // 3}")
-        if v != sum(2 * j * j - 4 * j for j in range(n)):
+        if v != subst:
             subst_bad.append(f"n={n}")
         if n >= 2 and v == 0:
             zero_bad.append(f"n={n}")
@@ -256,61 +236,30 @@ def k1_chain(
     if missing:
         raise TableError(f"table lacks entries: {', '.join(missing)}")
 
-    reports = []
-
-    def poly_report(name: str, inputs: str, expected: str, value: IntPoly):
-        reports.append(_report(name, inputs, expected, format_poly(value)))
-        return value
-
     t = table
-    step1_table = poly_report(
-        "chain_step1_table",
-        "nabla(8_19)*nabla(3_1) - z*nabla(L6a1{1}), table polynomials",
-        CHAIN_STEP1,
-        t["8_19"].conway * t["3_1"].conway - t["L6a1{1}"].conway.shift(1),
-    )
+    step1 = t["8_19"].conway * t["3_1"].conway - t["L6a1{1}"].conway.shift(1)
+    step2 = t["10_148"].conway
+    diff = step1 - step2
     e819 = conway(t["8_19"].diagram(), ctx)
     e31m = conway(mirror(t["3_1"].diagram()), ctx)
     e63 = conway(t["L6a1{1}"].diagram(), ctx)
-    poly_report(
-        "chain_step1_engine",
-        "same chain, every polynomial recomputed by the skein engine",
-        CHAIN_STEP1,
-        e819 * e31m - e63.shift(1),
+    rows = (
+        ("chain_step1_table", CHAIN_STEP1, step1,
+         "nabla(8_19)*nabla(3_1) - z*nabla(L6a1{1}), table polynomials"),
+        ("chain_step1_engine", CHAIN_STEP1, e819 * e31m - e63.shift(1),
+         "same chain, every polynomial recomputed by the skein engine"),
+        ("chain_step2_table", CHAIN_STEP2, step2,
+         "stored nabla(10_148) (mirror leaves knot polynomials unchanged)"),
+        ("chain_step2_engine", CHAIN_STEP2, conway(mirror(t["10_148"].diagram()), ctx),
+         "engine nabla of the mirrored 10_148 diagram"),
+        ("chain_step3_difference", CHAIN_DIFF, diff, "step1 - step2"),
+        ("chain_step4_final", CHAIN_FINAL, diff.shift(1), "z * (step1 - step2)"),
     )
-    step2_table = poly_report(
-        "chain_step2_table",
-        "stored nabla(10_148) (mirror leaves knot polynomials unchanged)",
-        CHAIN_STEP2,
-        t["10_148"].conway,
-    )
-    poly_report(
-        "chain_step2_engine",
-        "engine nabla of the mirrored 10_148 diagram",
-        CHAIN_STEP2,
-        conway(mirror(t["10_148"].diagram()), ctx),
-    )
-    diff = poly_report(
-        "chain_step3_difference",
-        "step1 - step2",
-        CHAIN_DIFF,
-        step1_table - step2_table,
-    )
-    reports.append(
-        _report(
-            "chain_step3_nonzero",
-            "step1 - step2",
-            "nonzero",
-            "nonzero" if diff != IntPoly.zero() else "zero",
-        )
-    )
-    poly_report(
-        "chain_step4_final",
-        "z * (step1 - step2)",
-        CHAIN_FINAL,
-        diff.shift(1),
-    )
-    return reports
+    nonzero = "nonzero" if diff != IntPoly.zero() else "zero"
+    return [_report("chain_step3_nonzero", "step1 - step2", "nonzero", nonzero)] + [
+        _report(name, inputs, expected, format_poly(value))
+        for name, expected, value, inputs in rows
+    ]
 
 
 def closed_form_crosscheck(
@@ -332,38 +281,23 @@ def closed_form_crosscheck(
         if name not in table:
             raise TableError(f"table lacks entry {name}")
 
-    chain1 = parse_poly(CHAIN_STEP1)
-    chain2 = parse_poly(CHAIN_STEP2)
-    reports = [
-        _report(
-            "closed_form_A_at_1_0_0",
-            "a2_A(1,0,0) vs z^2 coefficient of " + CHAIN_STEP1,
-            str(chain1.coeff(2)),
-            str(a2_A(1, 0, 0)),
-        ),
-        _report(
-            "closed_form_B_at_1_0_0",
-            "a2_B(1,0,0) vs z^2 coefficient of " + CHAIN_STEP2,
-            str(chain2.coeff(2)),
-            str(a2_B(1, 0, 0)),
-        ),
-        _report(
-            "closed_form_A_base",
-            "a2_A(0,0,0) vs a2(8_19) + a2(mirror 3_1), engine values",
-            str(a2_A(0, 0, 0)),
-            str(
-                a2(table["8_19"].diagram(), ctx)
-                + a2(mirror(table["3_1"].diagram()), ctx)
-            ),
-        ),
-        _report(
-            "closed_form_B_base",
-            "a2_B(0,0,0) vs a2(mirror 5_2) + 4, engine value",
-            str(a2_B(0, 0, 0)),
-            str(a2(mirror(table["5_2"].diagram()), ctx) + 4),
-        ),
+    t = table
+    engine_A = a2(t["8_19"].diagram(), ctx) + a2(mirror(t["3_1"].diagram()), ctx)
+    engine_B = a2(mirror(t["5_2"].diagram()), ctx) + 4
+    rows = (
+        ("closed_form_A_at_1_0_0", parse_poly(CHAIN_STEP1).coeff(2), a2_A(1, 0, 0),
+         "a2_A(1,0,0) vs z^2 coefficient of " + CHAIN_STEP1),
+        ("closed_form_B_at_1_0_0", parse_poly(CHAIN_STEP2).coeff(2), a2_B(1, 0, 0),
+         "a2_B(1,0,0) vs z^2 coefficient of " + CHAIN_STEP2),
+        ("closed_form_A_base", a2_A(0, 0, 0), engine_A,
+         "a2_A(0,0,0) vs a2(8_19) + a2(mirror 3_1), engine values"),
+        ("closed_form_B_base", a2_B(0, 0, 0), engine_B,
+         "a2_B(0,0,0) vs a2(mirror 5_2) + 4, engine value"),
+    )
+    return [
+        _report(name, inputs, str(expected), str(computed))
+        for name, expected, computed, inputs in rows
     ]
-    return reports
 
 
 def random_closure(
@@ -384,33 +318,23 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
         random_closure(rng, config.max_random_crossings)
         for _ in range(config.diagram_samples)
     ]
-
-    def agg(name: str, inputs: str, fails: list[str], total: int):
-        expected = f"0 failures in {total} checks"
-        computed = (
-            expected
-            if not fails
-            else f"{len(fails)} failures in {total} checks, first: {fails[0]}"
-        )
-        return _report(name, inputs, expected, computed)
-
     reports = []
-    seed_note = f"seed {config.seed}"
 
-    fails, total = [], 0
-    for i, d in enumerate(samples):
-        for x in d.crossings:
-            total += 1
-            if not check_skein_identity(d, x, ctx):
-                fails.append(f"diagram {i}")
-    reports.append(
-        agg(
-            "property_skein_identity",
-            f"{len(samples)} random closures <= {config.max_random_crossings} "
-            f"crossings, every crossing, {seed_note}",
-            fails,
-            total,
-        )
+    def tally(name: str, inputs: str, fails: list[str], total: int):
+        inputs = f"{inputs}, seed {config.seed}"
+        reports.append(_tally(name, inputs, fails, total, "failures"))
+
+    tally(
+        "property_skein_identity",
+        f"{len(samples)} random closures <= {config.max_random_crossings} "
+        f"crossings, every crossing",
+        [
+            f"diagram {i}"
+            for i, d in enumerate(samples)
+            for x in d.crossings
+            if not check_skein_identity(d, x, ctx)
+        ],
+        sum(len(d.crossings) for d in samples),
     )
 
     fails, knots, links = [], 0, 0
@@ -427,14 +351,12 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
                 fails.append(f"link diagram {i}: {format_poly(p)}")
             elif p.coeff(1) != linking_number(d, 0, 1):
                 fails.append(f"link diagram {i}: a1 != lk")
-    reports.append(
-        agg(
-            "property_parity_and_linking",
-            f"{knots} knots (even, constant 1), {links} 2-component links "
-            f"(odd, a1 = lk), {seed_note}",
-            fails,
-            knots + links,
-        )
+    tally(
+        "property_parity_and_linking",
+        f"{knots} knots (even, constant 1), {links} 2-component links "
+        f"(odd, a1 = lk)",
+        fails,
+        knots + links,
     )
 
     fails, total = [], 0
@@ -449,131 +371,108 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
         s = connected_sum(d1, min(d1.arcs()), d2, min(d2.arcs()))
         if conway(s, ctx) != conway(d1, ctx) * conway(d2, ctx):
             fails.append(f"pair {total}")
-    reports.append(
-        agg(
-            "property_multiplicativity",
-            f"{config.pair_samples} random knot pairs <= 6 crossings, {seed_note}",
-            fails,
-            total,
-        )
+    tally(
+        "property_multiplicativity",
+        f"{config.pair_samples} random knot pairs <= 6 crossings",
+        fails,
+        total,
     )
 
-    fails, total = [], 0
-    for i in range(20):
-        d1 = random_closure(rng, 5)
-        d2 = random_closure(rng, 5)
-        total += 1
-        if conway(disjoint_union(d1, d2), ctx) != IntPoly.zero():
-            fails.append(f"pair {i}")
-    reports.append(
-        agg("property_split_vanishing", f"20 random disjoint unions, {seed_note}", fails, total)
-    )
+    fails = [
+        f"pair {i}"
+        for i in range(20)
+        if conway(disjoint_union(random_closure(rng, 5), random_closure(rng, 5)), ctx)
+        != IntPoly.zero()
+    ]
+    tally("property_split_vanishing", "20 random disjoint unions", fails, 20)
 
-    fails, total = [], 0
+    fails = []
     for i, d in enumerate(samples[:50]):
-        total += 1
         arcs = sorted(d.arcs())
         fresh = rng.sample(range(1, 10 * (len(arcs) + 2)), len(arcs))
         relabeled = _relabel(d, dict(zip(arcs, fresh)))
         if conway(d, SkeinContext()) != conway(relabeled, SkeinContext()):
             fails.append(f"diagram {i}")
-    reports.append(
-        agg(
-            "property_basepoint_invariance",
-            f"50 random closures relabeled (fresh basepoints and component "
-            f"order), {seed_note}",
-            fails,
-            total,
-        )
+    tally(
+        "property_basepoint_invariance",
+        "50 random closures relabeled (fresh basepoints and component order)",
+        fails,
+        len(samples[:50]),
     )
 
-    fails, total = [], 0
-    for i, d in enumerate(samples[:30]):
-        total += 1
-        if conway(d, SkeinContext(reduce_diagrams=False)) != conway(d, SkeinContext()):
-            fails.append(f"diagram {i}")
-    reports.append(
-        agg(
-            "property_reduction_invariance",
-            f"30 random closures with and without R1/R2 reduction, {seed_note}",
-            fails,
-            total,
-        )
+    fails = [
+        f"diagram {i}"
+        for i, d in enumerate(samples[:30])
+        if conway(d, SkeinContext(reduce_diagrams=False)) != conway(d, SkeinContext())
+    ]
+    tally(
+        "property_reduction_invariance",
+        "30 random closures with and without R1/R2 reduction",
+        fails,
+        len(samples[:30]),
     )
 
-    fails, total = [], 0
+    fails = []
     for i, d in enumerate(samples):
         r = _reduce(d)
-        total += 1
         if len(r.crossings) > len(d.crossings):
             fails.append(f"diagram {i}: grew")
         elif conway(r, ctx) != conway(d, ctx):
             fails.append(f"diagram {i}: value changed")
-    reports.append(
-        agg(
-            "property_reduce_preserves_conway",
-            f"{len(samples)} random closures, {seed_note}",
-            fails,
-            total,
-        )
+    tally(
+        "property_reduce_preserves_conway",
+        f"{len(samples)} random closures",
+        fails,
+        len(samples),
     )
-
     return reports
 
 
-def _table_reports(config: VerifyConfig) -> list[VerificationReport]:
-    try:
-        entries = load_table(config.table_path, validate=False)
-    except TableError as exc:
-        return [_report("table_load", "reference table", "loadable", str(exc))]
-    ctx = SkeinContext()
-    reports = [
-        _report("table_load", "reference table", "loadable", "loadable"),
-    ]
-    for entry in entries.values():
-        expected = f"{format_poly(entry.conway)} with {entry.components} component(s)"
-        _, got = check_entry(entry, ctx)
+def _table_reports(
+    table: dict[str, KnotTableEntry], ctx: SkeinContext
+) -> list[VerificationReport]:
+    reports = [_report("table_load", "reference table", "loadable", "loadable")]
+    for entry in table.values():
         reports.append(
             _report(
                 f"table_{entry.name}",
                 f"engine recomputation of PD for {entry.name}",
-                expected,
-                got,
+                f"{format_poly(entry.conway)} with {entry.components} component(s)",
+                check_entry(entry, ctx)[1],
             )
         )
     return reports
 
 
 def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
-    """Run every check; never raises, failures become failed reports."""
+    """Run every check; never raises, failures become failed reports.
+
+    The table is loaded once; its checks share one SkeinContext.  A table
+    that cannot be loaded fails table_load and skips the chain and
+    closed-form checks; a table that loads must hold their entries.
+    """
     if config is None:
         config = VerifyConfig()
     reports: list[VerificationReport] = []
 
-    def guarded(name: str, thunk):
+    def guarded(name: str, check, *args):
         try:
-            reports.extend(thunk())
+            reports.extend(check(*args))
         except Exception as exc:  # noqa: BLE001 - reported, not swallowed
-            reports.append(
-                _report(name, "check raised", "no exception", f"{type(exc).__name__}: {exc}")
-            )
-
-    guarded("table_load", lambda: _table_reports(config))
+            raised = f"{type(exc).__name__}: {exc}"
+            reports.append(_report(name, "check raised", "no exception", raised))
 
     try:
-        table: dict[str, KnotTableEntry] | None = load_table(
-            config.table_path, validate=False
-        )
-    except TableError:
-        table = None  # already reported by _table_reports
-
-    guarded("chain", lambda: k1_chain(table) if table else [])
-    guarded("closed_form", lambda: closed_form_crosscheck(table) if table else [])
-    guarded(
-        "recurrence",
-        lambda: check_recurrences(config.max_n, config.max_l, config.max_r),
-    )
-    guarded("sum", lambda: theorem_sum_check(max(config.theorem_max_n, 2)))
-    guarded("property", lambda: _property_suite(config))
+        table = load_table(config.table_path, validate=False)
+    except TableError as exc:
+        reports.append(_report("table_load", "reference table", "loadable", str(exc)))
+    else:
+        ctx = SkeinContext()
+        guarded("table_load", _table_reports, table, ctx)
+        guarded("chain", k1_chain, table, ctx)
+        guarded("closed_form", closed_form_crosscheck, table, ctx)
+    guarded("recurrence", check_recurrences, config.max_n, config.max_l, config.max_r)
+    guarded("sum", theorem_sum_check, max(config.theorem_max_n, 2))
+    guarded("property", _property_suite, config)
 
     return sorted(reports, key=lambda r: r.check_name)

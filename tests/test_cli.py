@@ -157,7 +157,8 @@ def test_verify_json(capsys):
     reports = [json.loads(line) for line in out.strip().splitlines()]
     assert len(reports) >= 20
     assert all(r["passed"] for r in reports)
-    assert {"check_name", "inputs", "expected", "computed", "passed"} <= set(reports[0])
+    keys = ["check_name", "inputs", "expected", "computed", "passed"]
+    assert all(list(r) == keys for r in reports)
 
 
 def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch):
@@ -175,3 +176,48 @@ def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert "FAIL table_3_1" in out
     assert out.strip().splitlines()[-1].endswith("CHECKS FAILED")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--max-n", "0"],
+        ["verify", "--max-l", "-1"],
+        ["verify", "--max-r", "0"],
+        ["verify", "--max-n", "ten"],
+        ["conway", "--pd", "O", "--budget", "0"],
+        ["conway", "--pd", "O", "--budget", "-1"],
+        ["a2", "--pd", TREFOIL, "--budget", "0"],
+    ],
+    ids=["max-n=0", "max-l=-1", "max-r=0", "max-n=ten", "budget=0", "budget=-1",
+         "a2-budget=0"],
+)
+def test_bad_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "expected an integer >= 1" in err
+    assert "Traceback" not in err
+
+
+def test_verify_bound_defaults_come_from_config():
+    from conwaykit.cli import _build_parser
+    from conwaykit.verify import VerifyConfig
+
+    args = _build_parser().parse_args(["verify"])
+    config = VerifyConfig()
+    assert (args.max_n, args.max_l, args.max_r) == (
+        config.max_n, config.max_l, config.max_r
+    )
+
+
+def test_verify_fails_table_without_chain_entries(capsys, tmp_path, monkeypatch):
+    p = tmp_path / "empty.json"
+    p.write_text("[]")
+    monkeypatch.setenv("KNOT_TABLE", str(p))
+    code, out, _ = run(
+        capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2"
+    )
+    assert code == 1
+    assert "FAIL chain: expected no exception; computed TableError" in out
+    assert "FAIL closed_form: " in out
+    assert out.strip().splitlines()[-1] == "2 OF 20 CHECKS FAILED"

@@ -156,3 +156,13 @@ def test_syntax_errors_carry_position():
 def test_parse_rejects_stray_suffix():
     with pytest.raises(PolySyntaxError):
         parse_poly("1+z^2)")
+
+
+def test_docstring_examples():
+    import doctest
+
+    import conwaykit.poly
+
+    result = doctest.testmod(conwaykit.poly)
+    assert result.failed == 0
+    assert result.attempted >= 10

@@ -170,3 +170,119 @@ def test_run_all_survives_missing_table():
     assert "sum_closed_form" in names
     assert "recurrence_A_n_step" in names
     assert not any(n.startswith("chain_") for n in names)
+
+
+def test_run_all_fails_table_without_chain_entries(tmp_path):
+    # a table that loads but lacks the chain entries must not pass quietly
+    p = tmp_path / "empty.json"
+    p.write_text("[]")
+    reports = run_all(VerifyConfig(table_path=str(p), **SMALL))
+    failed = {r.check_name: r.computed for r in reports if not r.passed}
+    assert failed == {
+        "chain": "TableError: table lacks entries: 8_19, 3_1, L6a1{1}, 10_148",
+        "closed_form": "TableError: table lacks entry 8_19",
+    }
+    assert any(r.check_name == "table_load" and r.passed for r in reports)
+
+
+# (family, perturbation, box) -> computed strings of the six recurrence
+# reports, in the order check_recurrences returns them
+RECURRENCE_FAULTS = [
+    ("A", lambda n, l, r: (l == 5 and r == 0), (9, 8, 7), [
+        "2 mismatches in 8 checks, first: l=5",
+        "1 mismatches in 63 checks, first: l=5,r=1",
+        "0 mismatches in 648 checks",
+        "0 mismatches in 8 checks",
+        "0 mismatches in 63 checks",
+        "0 mismatches in 648 checks",
+    ]),
+    ("A", lambda n, l, r: (n == 7 and l == 3), (9, 8, 7), [
+        "0 mismatches in 8 checks",
+        "0 mismatches in 63 checks",
+        "16 mismatches in 648 checks, first: n=7,l=3,r=0",
+        "0 mismatches in 8 checks",
+        "0 mismatches in 63 checks",
+        "0 mismatches in 648 checks",
+    ]),
+    ("B", lambda n, l, r: 2 * (n == 3 and r == 4), (9, 8, 7), [
+        "0 mismatches in 8 checks",
+        "0 mismatches in 63 checks",
+        "0 mismatches in 648 checks",
+        "0 mismatches in 8 checks",
+        "0 mismatches in 63 checks",
+        "18 mismatches in 648 checks, first: n=3,l=0,r=4",
+    ]),
+    ("B", lambda n, l, r: (l == 0), (3, 3, 3), [
+        "0 mismatches in 3 checks",
+        "0 mismatches in 12 checks",
+        "0 mismatches in 48 checks",
+        "1 mismatches in 3 checks, first: l=1",
+        "0 mismatches in 12 checks",
+        "0 mismatches in 48 checks",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "family,fault,box,computed",
+    RECURRENCE_FAULTS,
+    ids=["A_l5", "A_n7_l3", "B_n3_r4", "B_l0"],
+)
+def test_recurrence_mismatch_strings(monkeypatch, family, fault, box, computed):
+    from conwaykit import verify
+
+    name = "a2_" + family
+    exact = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda n, l, r: exact(n, l, r) + fault(n, l, r))
+    reports = check_recurrences(*box)
+    assert [r.computed for r in reports] == computed
+    assert [r.passed for r in reports] == [c.startswith("0 ") for c in computed]
+
+
+def test_run_all_default_names_and_inputs():
+    reports = run_all(VerifyConfig())
+    assert all(r.passed for r in reports)
+    seed = "seed 20260817"
+    assert [(r.check_name, r.inputs) for r in reports] == [
+        ("chain_step1_engine", "same chain, every polynomial recomputed by the skein engine"),
+        ("chain_step1_table", "nabla(8_19)*nabla(3_1) - z*nabla(L6a1{1}), table polynomials"),
+        ("chain_step2_engine", "engine nabla of the mirrored 10_148 diagram"),
+        ("chain_step2_table",
+         "stored nabla(10_148) (mirror leaves knot polynomials unchanged)"),
+        ("chain_step3_difference", "step1 - step2"),
+        ("chain_step3_nonzero", "step1 - step2"),
+        ("chain_step4_final", "z * (step1 - step2)"),
+        ("closed_form_A_at_1_0_0",
+         "a2_A(1,0,0) vs z^2 coefficient of 1+4z^2+8z^4+6z^6+z^8"),
+        ("closed_form_A_base", "a2_A(0,0,0) vs a2(8_19) + a2(mirror 3_1), engine values"),
+        ("closed_form_B_at_1_0_0", "a2_B(1,0,0) vs z^2 coefficient of 1+4z^2+3z^4+z^6"),
+        ("closed_form_B_base", "a2_B(0,0,0) vs a2(mirror 5_2) + 4, engine value"),
+        ("property_basepoint_invariance",
+         "50 random closures relabeled (fresh basepoints and component order), " + seed),
+        ("property_multiplicativity", "50 random knot pairs <= 6 crossings, " + seed),
+        ("property_parity_and_linking",
+         "40 knots (even, constant 1), 34 2-component links (odd, a1 = lk), " + seed),
+        ("property_reduce_preserves_conway", "100 random closures, " + seed),
+        ("property_reduction_invariance",
+         "30 random closures with and without R1/R2 reduction, " + seed),
+        ("property_skein_identity",
+         "100 random closures <= 8 crossings, every crossing, " + seed),
+        ("property_split_vanishing", "20 random disjoint unions, " + seed),
+        ("recurrence_A_l_step", "1 <= l <= 50"),
+        ("recurrence_A_n_step", "1 <= n <= 50, 0 <= l <= 50, 0 <= r <= 50"),
+        ("recurrence_A_r_step", "0 <= l <= 50, 1 <= r <= 50"),
+        ("recurrence_B_l_step", "1 <= l <= 50"),
+        ("recurrence_B_n_step", "1 <= n <= 50, 0 <= l <= 50, 0 <= r <= 50"),
+        ("recurrence_B_r_step", "0 <= l <= 50, 1 <= r <= 50"),
+        ("sum_change_of_variable", "1 <= n <= 1000"),
+        ("sum_closed_form", "1 <= n <= 1000"),
+        ("sum_nonvanishing", "1 <= n <= 1000"),
+        ("sum_sign_pattern", "1 <= n <= 1000"),
+        ("table_0_1", "engine recomputation of PD for 0_1"),
+        ("table_10_148", "engine recomputation of PD for 10_148"),
+        ("table_3_1", "engine recomputation of PD for 3_1"),
+        ("table_5_2", "engine recomputation of PD for 5_2"),
+        ("table_8_19", "engine recomputation of PD for 8_19"),
+        ("table_L6a1{1}", "engine recomputation of PD for L6a1{1}"),
+        ("table_load", "reference table"),
+    ]
