@@ -11,10 +11,10 @@ invariant, 2 usage or input errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 
+from . import VerifyConfig
 from .diagram import components, linking_number, parse_pd, pd_text
 from .poly import format_poly
 from .skein import (
@@ -26,8 +26,6 @@ from .skein import (
     conway_Kn,
     conway_torus2,
 )
-from .table import TableError
-from .verify import VerifyConfig, run_all
 
 
 def _positive_int(text: str) -> int:
@@ -79,11 +77,12 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="run every verification check")
+    defaults = VerifyConfig()
     for bound in ("max_n", "max_l", "max_r"):
         p.add_argument(
             "--" + bound.replace("_", "-"),
             type=_positive_int,
-            default=getattr(VerifyConfig, bound),
+            default=getattr(defaults, bound),
             dest=bound,
         )
     add_common(p)
@@ -140,6 +139,11 @@ def _run_diagram_command(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    # only this command needs the harness; the others never load it
+    import dataclasses
+
+    from .verify import run_all
+
     config = VerifyConfig(max_n=args.max_n, max_l=args.max_l, max_r=args.max_r)
     reports = run_all(config)
     failed = [r for r in reports if not r.passed]
@@ -186,8 +190,9 @@ def main(argv: list[str] | None = None) -> int:
     except (NodeBudgetExceeded, SkeinInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, TableError) as exc:
-        # covers PD and polynomial syntax errors, bad table files, bad indices
+    except ValueError as exc:
+        # PD and polynomial syntax errors, bad table files (TableError is a
+        # ValueError), bad indices
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar, Iterable
+from typing import Iterable, NamedTuple
 
 
 class PDSyntaxError(ValueError):
@@ -60,8 +59,7 @@ class _cached:
         return value
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One crossing; over_in records which of b/d is the incoming over arc."""
 
     a: int
@@ -86,16 +84,39 @@ class Crossing:
         return (self.a, self.b, self.c, self.d)
 
 
-@dataclass(frozen=True)
 class Diagram:
-    """An oriented link diagram: crossings plus crossingless circles."""
+    """An oriented link diagram: crossings plus crossingless circles.
 
-    crossings: tuple[Crossing, ...] = ()
-    free_loops: int = 0
+    Immutable and hashable; equal only to another Diagram.
+    """
+
+    crossings: tuple[Crossing, ...]
+    free_loops: int
     # Positions of the only crossings that can take part in an R1/R2 move,
     # or None when any can: reduce settles its result (empty set) and the
     # moves on a settled diagram record which crossings they touched.
-    _unsettled: ClassVar[frozenset[int] | None] = None
+    _unsettled: frozenset[int] | None = None
+
+    def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "free_loops", free_loops)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.crossings == other.crossings and self.free_loops == other.free_loops
+
+    def __hash__(self) -> int:
+        return hash((self.crossings, self.free_loops))
+
+    def __repr__(self) -> str:
+        return f"Diagram(crossings={self.crossings!r}, free_loops={self.free_loops!r})"
 
     def arcs(self) -> set[int]:
         out: set[int] = set()

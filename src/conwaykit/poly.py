@@ -24,7 +24,6 @@ style exponents, ``0`` for the zero polynomial.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -36,10 +35,13 @@ class PolySyntaxError(ValueError):
         self.position = position
 
 
-@dataclass(frozen=True, init=False)
 class IntPoly:
-    """An element of Z[z], stored as a tuple of coefficients, constant first."""
+    """An element of Z[z], stored as a tuple of coefficients, constant first.
 
+    Immutable and hashable; equal only to another IntPoly.
+    """
+
+    __slots__ = ("coeffs",)
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
@@ -50,6 +52,24 @@ class IntPoly:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
         object.__setattr__(self, "coeffs", tuple(cs))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuild through __init__: the slot cannot be restored by assignment
+        return self.__class__, (self.coeffs,)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     # -- constructors ------------------------------------------------------
 

@@ -20,8 +20,6 @@ node budget, not by Python's recursion limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .diagram import (
     Crossing,
     Diagram,
@@ -51,7 +49,6 @@ class SkeinInvariantError(RuntimeError):
     """
 
 
-@dataclass
 class SkeinContext:
     """Shared memo table and accounting for a batch of computations.
 
@@ -60,11 +57,28 @@ class SkeinContext:
     does not change computed values.
     """
 
-    memo: dict[str, IntPoly] = field(default_factory=dict)
-    node_budget: int = 1_000_000
-    nodes_expanded: int = 0
-    cache_hits: int = 0
-    reduce_diagrams: bool = True
+    def __init__(
+        self,
+        memo: dict[str, IntPoly] | None = None,
+        node_budget: int = 1_000_000,
+        nodes_expanded: int = 0,
+        cache_hits: int = 0,
+        reduce_diagrams: bool = True,
+    ):
+        self.memo = {} if memo is None else memo
+        self.node_budget = node_budget
+        self.nodes_expanded = nodes_expanded
+        self.cache_hits = cache_hits
+        self.reduce_diagrams = reduce_diagrams
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"SkeinContext({fields})"
 
 
 def _first_visit_scan(d: Diagram) -> tuple[int | None, int]:

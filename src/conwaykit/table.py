@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from .diagram import Diagram, components, parse_pd
 from .poly import IntPoly, format_poly, parse_poly
@@ -33,8 +33,7 @@ class TableValidationError(TableError):
     value recomputed by the skein engine."""
 
 
-@dataclass(frozen=True)
-class KnotTableEntry:
+class KnotTableEntry(NamedTuple):
     name: str
     pd: str
     conway: IntPoly

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import prod
 
+from . import VerifyConfig  # defined in the package; re-exported here
 from .diagram import (
     Diagram,
     _braid_closure,
@@ -62,19 +63,6 @@ class VerificationReport:
     expected: str
     computed: str
     passed: bool
-
-
-@dataclass
-class VerifyConfig:
-    max_n: int = 50
-    max_l: int = 50
-    max_r: int = 50
-    theorem_max_n: int = 1000
-    table_path: str | None = None
-    seed: int = 20260817
-    diagram_samples: int = 100
-    pair_samples: int = 50
-    max_random_crossings: int = 8
 
 
 def _report(name: str, inputs: str, expected: str, computed: str) -> VerificationReport:
@@ -395,7 +383,8 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
             fails.append(f"diagram {i}")
     tally(
         "property_basepoint_invariance",
-        "50 random closures relabeled (fresh basepoints and component order)",
+        f"{len(samples[:50])} random closures relabeled "
+        "(fresh basepoints and component order)",
         fails,
         len(samples[:50]),
     )
@@ -407,7 +396,7 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
     ]
     tally(
         "property_reduction_invariance",
-        "30 random closures with and without R1/R2 reduction",
+        f"{len(samples[:30])} random closures with and without R1/R2 reduction",
         fails,
         len(samples[:30]),
     )

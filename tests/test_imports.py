@@ -1,0 +1,73 @@
+"""What `import conwaykit` and the CLI load.
+
+Each check runs in a fresh interpreter: this one has long since imported
+dataclasses (pytest uses it) and every conwaykit module.  SCRIPT is a
+standalone program: it needs only conwaykit on the path, not pytest.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import conwaykit
+
+SCRIPT = r'''
+import sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "conwaykit")
+
+import conwaykit
+import conwaykit.cli
+
+assert conwaykit.cli.main(["conway", "--pd", "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"]) == 0
+engine = ["conwaykit", "conwaykit.cli", "conwaykit.diagram", "conwaykit.poly",
+          "conwaykit.skein"]
+assert loaded() == engine, loaded()
+assert "dataclasses" not in sys.modules
+
+conwaykit.load_table()
+assert loaded() == sorted(engine + ["conwaykit.table"]), loaded()
+assert "dataclasses" not in sys.modules
+
+assert set(conwaykit.__all__) <= set(dir(conwaykit))
+for name in conwaykit.__all__:
+    getattr(conwaykit, name)
+namespace = {}
+exec("from conwaykit import *", namespace)
+missing = set(conwaykit.__all__) - set(namespace)
+assert not missing, missing
+print("import hygiene ok")
+'''
+
+
+# The lazy submodules are package attributes too, as `import conwaykit`
+# bound them before they became lazy.
+SUBMODULES = r'''
+import conwaykit
+
+assert "table" not in vars(conwaykit) and "verify" not in vars(conwaykit)
+assert conwaykit.table.load_table is conwaykit.load_table
+assert conwaykit.verify.run_all is conwaykit.run_all
+assert conwaykit.verify.VerifyConfig is conwaykit.VerifyConfig
+print("submodules ok")
+'''
+
+
+def _run(script: str) -> str:
+    src = str(Path(conwaykit.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_engine_commands_load_only_the_engine():
+    assert _run(SCRIPT) == "1+z^2\nimport hygiene ok\n"
+
+
+def test_lazy_submodules_resolve_as_attributes():
+    assert _run(SUBMODULES) == "submodules ok\n"

@@ -286,3 +286,16 @@ def test_run_all_default_names_and_inputs():
         ("table_L6a1{1}", "engine recomputation of PD for L6a1{1}"),
         ("table_load", "reference table"),
     ]
+
+
+def test_property_inputs_count_the_closures_they_sweep():
+    # the relabeling and reduction sweeps cover samples[:50] and [:30];
+    # with 12 samples the inputs must say 12, not 50 and 30
+    inputs = {r.check_name: r.inputs for r in run_all(VerifyConfig(**SMALL))}
+    seed = "seed 20260817"
+    assert inputs["property_basepoint_invariance"] == (
+        "12 random closures relabeled (fresh basepoints and component order), " + seed
+    )
+    assert inputs["property_reduction_invariance"] == (
+        "12 random closures with and without R1/R2 reduction, " + seed
+    )
