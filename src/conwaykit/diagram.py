@@ -152,12 +152,11 @@ class _ArcIndex:
         self.succ: dict[int, int] = {}
         end, start, succ = self.end, self.start, self.succ
         pass_code = 0
-        for x in crossings:
-            a, c = x.a, x.c
-            if x.over_in == "d":
-                oi, oo, sign = x.d, x.b, 1
+        for a, b, c, d, over_in in crossings:
+            if over_in == "d":
+                oi, oo, sign = d, b, 1
             else:
-                oi, oo, sign = x.b, x.d, -1
+                oi, oo, sign = b, d, -1
             self.u_in.append(a)
             self.o_in.append(oi)
             self.u_out.append(c)
@@ -226,7 +225,7 @@ def parse_pd(text: str) -> Diagram:
         if m.group(1) == "O":
             free_loops += 1
         else:
-            tuples.append(tuple(int(g) for g in m.groups()[1:]))  # type: ignore[arg-type]
+            tuples.append(tuple([int(g) for g in m.groups()[1:]]))  # type: ignore[arg-type]
         pos = m.end()
         if pos == len(text):
             break
@@ -240,11 +239,8 @@ def parse_pd(text: str) -> Diagram:
             if label < 1:
                 raise PDValidationError(f"arc labels must be positive, found {label}")
     over_ins = _resolve_over_directions(tuples)
-    crossings = tuple(
-        Crossing(a, b, c, d, over_in)
-        for (a, b, c, d), over_in in zip(tuples, over_ins)
-    )
-    return Diagram(crossings, free_loops)
+    crossings = [Crossing(a, b, c, d, over_in) for (a, b, c, d), over_in in zip(tuples, over_ins)]
+    return Diagram(tuple(crossings), free_loops)
 
 
 def _resolve_over_directions(tuples: list[tuple[int, int, int, int]]) -> list[str]:
@@ -374,11 +370,9 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
 
 def _crossing_index(d: Diagram, x: Crossing) -> int:
     try:
-        # by identity first: comparing crossings field by field is slow
-        return list(map(id, d.crossings)).index(id(x))
-    except ValueError:
-        pass
-    try:
+        # tuple.index tries identity first, and two crossings of a diagram
+        # differ in their first field (each arc ends once), so this
+        # compares one int per crossing and allocates nothing
         return d.crossings.index(x)
     except ValueError:
         raise ValueError("crossing does not belong to this diagram") from None
@@ -406,56 +400,53 @@ def mirror(d: Diagram) -> Diagram:
     return out
 
 
-def _remove_crossings(d: Diagram, gone: set[int], bridges: dict[int, int]) -> Diagram:
-    """Delete the crossings at indices `gone`, gluing arcs per `bridges`.
-
-    bridges maps arc u -> arc v meaning: the end of u is joined to the start
-    of v.  Maximal bridge chains fuse into one arc named by the minimal label
-    in the chain; bridge cycles close into crossingless circles and are added
-    to free_loops.  Every deleted pass must contribute exactly one bridge.
-    """
-    mapping: dict[int, int] = {}
-    loops = d.free_loops
-    heads = set(bridges) - set(bridges.values())
-    visited: set[int] = set()
-    for head in sorted(heads):
-        run = [head]
-        while run[-1] in bridges:
-            run.append(bridges[run[-1]])
-        target = min(run)
-        for arc in run:
-            mapping[arc] = target
-        visited.update(run)
-    for start in sorted(bridges):
-        if start in visited:
-            continue
-        # a cycle: every arc in it has both occurrences on deleted passes
-        arc = start
-        while True:
-            visited.add(arc)
-            arc = bridges[arc]
-            if arc == start:
-                break
-        loops += 1
-    kept = tuple(x for i, x in enumerate(d.crossings) if i not in gone)
-    return _relabel(Diagram(kept, loops), mapping)
-
-
 def smooth_crossing(d: Diagram, x: Crossing) -> Diagram:
     """Oriented smoothing at x: a joins the over-out arc, over-in joins c.
 
     The crossing count drops by one and the component count changes by
-    exactly one.  A fused run with no remaining crossings becomes a free loop.
+    exactly one.  Each run of joined arcs takes its minimal label; a run
+    that closes on itself becomes a free loop.  Only the crossings at the
+    far ends of x's arcs are rebuilt.
     """
     i = _crossing_index(d, x)
-    out = _remove_crossings(d, {i}, {x.a: x.over_out_arc, x.over_in_arc: x.c})
+    a, b, c, d_, over_in = x
+    oi, oo = (d_, b) if over_in == "d" else (b, d_)
+    loops = d.free_loops
+    if a == oo and oi == c:
+        loops, runs = loops + 2, ()  # two kinks: two circles
+    elif a == c and oi == oo:
+        loops, runs = loops + 1, ()  # both strands meet only x: one circle
+    elif a == oo or oi == c:
+        # a kink closes into a circle; the other join fuses two arcs
+        loops, runs = loops + 1, ((oi, c) if a == oo else (a, oo),)
+    elif a == c or oi == oo:
+        runs = ((a, oo, oi, c),)  # one strand meets only x: one run
+    else:
+        runs = ((a, oo), (oi, c))
+    mapping: dict[int, int] = {}
+    for run in runs:
+        low = min(run)
+        for arc in run:
+            mapping[arc] = low
+    start, end = d._arc_index.start, d._arc_index.end
+    # the other crossings that share an arc with x
+    far = {start[a] >> 1, end[oo] >> 1, start[oi] >> 1, end[c] >> 1}
+    far.discard(i)
+    # not tuple(<generator>): that grows by repeated realloc, which past
+    # 512 bytes leaves pymalloc and ratchets peak RSS on long diagrams;
+    # tuple(<list>) allocates once
+    kept = list(d.crossings)
+    get = mapping.get
+    for j in far:
+        a, b, c, d_, over_in = kept[j]
+        kept[j] = Crossing(get(a, a), get(b, b), get(c, c), get(d_, d_), over_in)
+    del kept[i]
+    out = Diagram(tuple(kept), loops)
     if d._unsettled is not None:
-        # only the crossings on a fused arc (those _relabel rebuilt) can
-        # gain a kink or an R2 partner
-        kept = d.crossings[:i] + d.crossings[i + 1 :]
-        unsettled = {j for j, y in enumerate(out.crossings) if y is not kept[j]}
-        unsettled.update(j - (j > i) for j in d._unsettled if j != i)
-        object.__setattr__(out, "_unsettled", frozenset(unsettled))
+        # only the rebuilt crossings can gain a kink or an R2 partner
+        unsettled = far.union(d._unsettled)
+        unsettled.discard(i)
+        object.__setattr__(out, "_unsettled", frozenset([j - (j > i) for j in unsettled]))
     return out
 
 
@@ -493,7 +484,7 @@ def reduce(d: Diagram) -> Diagram:
 
     def drop_pass(i: int, under: bool) -> None:
         # join the arc into the pass to the arc out of it; as in
-        # _remove_crossings, the joined arc keeps the smaller label
+        # smooth_crossing, the joined arc keeps the smaller label
         nonlocal loops
         u, v = (u_in[i], u_out[i]) if under else (o_in[i], o_out[i])
         del end[u], start[v]
@@ -592,15 +583,11 @@ def is_graph_connected(d: Diagram) -> bool:
 
 def _relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
     get = mapping.get
-    return Diagram(
-        tuple(
-            Crossing(get(x.a, x.a), get(x.b, x.b), get(x.c, x.c), get(x.d, x.d), x.over_in)
-            if x.a in mapping or x.b in mapping or x.c in mapping or x.d in mapping
-            else x
-            for x in d.crossings
-        ),
-        d.free_loops,
-    )
+    crossings = [
+        Crossing(get(a, a), get(b, b), get(c, c), get(d_, d_), over_in)
+        for a, b, c, d_, over_in in d.crossings
+    ]
+    return Diagram(tuple(crossings), d.free_loops)
 
 
 def canonical_code(d: Diagram) -> str:

@@ -97,10 +97,14 @@ class IntPoly:
         return IntPoly(out)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly(tuple(-c for c in self.coeffs))
+        return IntPoly([-c for c in self.coeffs])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
-        return self + (-other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [0] * (len(b) - len(a))
+        for i, c in enumerate(b):
+            out[i] -= c
+        return IntPoly(out)
 
     def __mul__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
@@ -116,7 +120,7 @@ class IntPoly:
     def __rmul__(self, scalar: int) -> IntPoly:
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntPoly(tuple(scalar * c for c in self.coeffs))
+        return IntPoly([scalar * c for c in self.coeffs])
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -245,4 +249,4 @@ def parse_poly(text: str) -> IntPoly:
     if not coeffs:
         raise PolySyntaxError("empty polynomial", 0)
     top = max(coeffs)
-    return IntPoly(tuple(coeffs.get(k, 0) for k in range(top + 1)))
+    return IntPoly([coeffs.get(k, 0) for k in range(top + 1)])

@@ -33,6 +33,10 @@ from .diagram import (
 )
 from .poly import IntPoly
 
+# shared by every node that needs them; an IntPoly never changes
+_ZERO = IntPoly()
+_ONE = IntPoly((1,))
+
 
 class NodeBudgetExceeded(RuntimeError):
     """A skein computation outgrew its context's node budget.
@@ -141,10 +145,10 @@ def _conway(d: Diagram, ctx: SkeinContext) -> IntPoly:
         if ctx.reduce_diagrams:
             current = _reduce(current)
         if not is_graph_connected(current):
-            value = IntPoly.zero()
+            value = _ZERO
         elif not current.crossings:
             # connected and crossingless: one circle, or nothing at all
-            value = IntPoly.one()
+            value = _ONE
         else:
             key = canonical_code(current)
             cached = memo.get(key)
@@ -164,7 +168,7 @@ def _conway(d: Diagram, ctx: SkeinContext) -> IntPoly:
                     suspended.append((pending, switched, measure, key, x.sign))
                     pending, current, prev_measure = [], smooth_crossing(current, x), None
                     continue
-                value = IntPoly.one() if len(current._arc_index.cycles) == 1 else IntPoly.zero()
+                value = _ONE if len(current._arc_index.cycles) == 1 else _ZERO
                 memo[key] = value
         for key, s, term in reversed(pending):
             value = value + term if s > 0 else value - term

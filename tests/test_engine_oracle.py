@@ -1,16 +1,18 @@
 """The indexed engine against the straightforward implementations it replaced.
 
 The reference functions below are the all-pairs Reidemeister search, the
-arc-level connectivity test and the canonical code built from relabelled
-Crossing objects, kept verbatim as oracles.  The indexed versions in
-conwaykit.diagram must agree with them exactly: the same R1/R2 moves in the
-same order give the same reduced diagram, and with it the same memo keys,
-node counts and polynomials.
+arc-level connectivity test, the canonical code built from relabelled
+Crossing objects and the smoothing that relabels every crossing, kept
+verbatim as oracles.  The indexed versions in conwaykit.diagram must agree
+with them exactly: the same R1/R2 moves in the same order give the same
+reduced diagram, and with it the same memo keys, node counts and
+polynomials.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -90,6 +92,21 @@ def ref_remove_crossings(d: Diagram, gone: set[int], bridges: dict[int, int]) ->
             )
         )
     return Diagram(tuple(kept), loops)
+
+
+def ref_smooth(d: Diagram, i: int) -> Diagram:
+    x = d.crossings[i]
+    return ref_remove_crossings(d, {i}, {x.a: x.over_out_arc, x.over_in_arc: x.c})
+
+
+def ref_unsettled(d: Diagram, i: int) -> frozenset[int] | None:
+    """What reduce must search after smoothing d at crossing i: every other
+    crossing that shares an arc with i, plus whatever d left unsettled."""
+    if d._unsettled is None:
+        return None
+    arcs = set(d.crossings[i].slots())
+    near = {j for j, y in enumerate(d.crossings) if arcs & set(y.slots())}
+    return frozenset(j - (j > i) for j in (near | d._unsettled) - {i})
 
 
 def ref_r1_index(d: Diagram) -> int | None:
@@ -223,6 +240,23 @@ def random_diagrams(seed: int, count: int) -> list[Diagram]:
     return out
 
 
+# Diagrams with a strand that meets a single crossing and nothing else.  No
+# planar diagram has one, so braid closures never do, but the smoothing
+# handles them like any other run of joined arcs.
+STRAND_LOOPS = [
+    Diagram((Crossing(1, 5, 2, 5, "d"), Crossing(2, 3, 1, 3, "d"))),  # over strands
+    Diagram((Crossing(1, 2, 1, 3, "d"), Crossing(2, 4, 3, 4, "d"))),  # an under strand
+    Diagram((Crossing(1, 2, 1, 2, "b"),)),  # both strands of one crossing
+]
+
+
+def arc_shape(x: Crossing) -> tuple[bool, bool, bool, bool]:
+    """Which arcs of x coincide: the two kinks a == over-out and
+    over-in == c, then the strand loops over-in == over-out and a == c."""
+    oi, oo = x.over_in_arc, x.over_out_arc
+    return (x.a == oo, oi == x.c, oi == oo, x.a == x.c)
+
+
 def fresh(d: Diagram) -> Diagram:
     """An equal diagram that carries nothing cached from earlier steps."""
     return Diagram(d.crossings, d.free_loops)
@@ -277,3 +311,33 @@ def test_reduce_of_unreduced_inputs_matches_reference(word):
         d = switch_crossing(d, x)
     for _ in range(5):
         assert_agrees(relabeled(d, rng))
+
+
+def test_smoothing_matches_reference_at_every_crossing():
+    """Every crossing of unreduced closures, their reductions (settled) and a
+    switch of each reduction (one crossing unsettled)."""
+    rng = random.Random(13)
+    inputs = []
+    for d in random_diagrams(13, 150) + STRAND_LOOPS:
+        r = reduce(fresh(d))
+        inputs += [d, r]
+        if r.crossings:
+            inputs.append(switch_crossing(r, rng.choice(r.crossings)))
+    shapes: Counter = Counter()
+    for d in inputs:
+        for i, x in enumerate(d.crossings):
+            shapes[arc_shape(x)] += 1
+            child = smooth_crossing(d, x)
+            assert child == ref_smooth(fresh(d), i), (d, i)
+            assert child._unsettled == ref_unsettled(d, i), (d, i)
+            assert_agrees(child)
+    # plain, each kink, both kinks, each strand loop, both strand loops
+    assert set(shapes) == {
+        (False, False, False, False),
+        (True, False, False, False),
+        (False, True, False, False),
+        (True, True, False, False),
+        (False, False, True, False),
+        (False, False, False, True),
+        (False, False, True, True),
+    }, shapes
