@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import re
 from bisect import insort
-from itertools import chain
+from functools import partial
+from itertools import chain, compress
 from typing import Iterable, NamedTuple
 
 
@@ -84,6 +85,10 @@ class Crossing(NamedTuple):
         return (self.a, self.b, self.c, self.d)
 
 
+# Crossing from a tuple of its fields, without the NamedTuple __new__
+_crossing = partial(tuple.__new__, Crossing)
+
+
 class Diagram:
     """An oriented link diagram: crossings plus crossingless circles.
 
@@ -98,8 +103,7 @@ class Diagram:
     _unsettled: frozenset[int] | None = None
 
     def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "free_loops", free_loops)
+        self.__dict__.update(crossings=crossings, free_loops=free_loops)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -130,23 +134,23 @@ class Diagram:
         return _ArcIndex(self.crossings)
 
 
+# memo keys print arc positions from these: "%s" of a str is several times
+# cheaper than "%d" of an int (diagrams past 128 crossings make their own)
+_LABELS = tuple(map(str, range(1, 257)))
+
+
 class _ArcIndex:
     """Where each arc of a diagram starts and ends.
 
-    Crossing i has under-in arc u_in[i], under-out u_out[i], over-in o_in[i]
-    and over-out o_out[i].  end[arc] and start[arc] name the pass the arc
-    arrives at and leaves from: 2*i + 1 for the understrand of crossing i,
-    2*i for its overstrand; succ[arc] is the arc after it.  The component
-    walk (cycles, order) and the arc -> component map (owner) are computed
-    on first use.
+    end[arc] and start[arc] name the pass the arc arrives at and leaves
+    from: 2*i + 1 for the understrand of crossing i, 2*i for its
+    overstrand.  Both dicts are in pass order, so list(end)[p] is the arc
+    into pass p and list(start)[p] the arc out of it.  succ[arc] is the
+    arc after arc.  The component walk (cycles), the positions along it
+    (names) and the arc -> component map (owner) are computed on first use.
     """
 
     def __init__(self, crossings: tuple[Crossing, ...]):
-        self.u_in: list[int] = []
-        self.o_in: list[int] = []
-        self.u_out: list[int] = []
-        self.o_out: list[int] = []
-        self.signs: list[int] = []
         self.end: dict[int, int] = {}
         self.start: dict[int, int] = {}
         self.succ: dict[int, int] = {}
@@ -154,44 +158,45 @@ class _ArcIndex:
         pass_code = 0
         for a, b, c, d, over_in in crossings:
             if over_in == "d":
-                oi, oo, sign = d, b, 1
-            else:
-                oi, oo, sign = b, d, -1
-            self.u_in.append(a)
-            self.o_in.append(oi)
-            self.u_out.append(c)
-            self.o_out.append(oo)
-            self.signs.append(sign)
+                b, d = d, b
+            # b, d = over-in, over-out; the over pass goes in first
+            end[b] = start[d] = pass_code
             end[a] = start[c] = pass_code + 1
-            end[oi] = start[oo] = pass_code
             succ[a] = c
-            succ[oi] = oo
+            succ[b] = d
             pass_code += 2
 
     @_cached
     def cycles(self) -> tuple[tuple[int, ...], ...]:
         """Arc cycles ordered by minimal arc, each from its minimal arc."""
         succ = self.succ
-        seen: set[int] = set()
-        cycles = []
-        for first in sorted(succ):
-            if first in seen:
-                continue
+        cycles: list[tuple[int, ...]] = []
+        left = len(succ)
+        rest = None
+        # each walk starts at the least arc no earlier walk met, so the
+        # cycles come out in order and start at their minimal arcs
+        first = min(succ, default=None)
+        while left:
             cycle = [first]
             arc = succ[first]
             while arc != first:
                 cycle.append(arc)
                 arc = succ[arc]
             cycles.append(tuple(cycle))
-            seen.update(cycle)
-            if len(seen) == len(succ):
-                break
+            left -= len(cycle)
+            if left:
+                if rest is None:
+                    rest = set(succ)
+                rest.difference_update(cycle)
+                first = min(rest)
         return tuple(cycles)
 
     @_cached
-    def order(self) -> dict[int, int]:
-        """Arc -> position from 1 along the cycles, in walk order."""
-        return dict(zip(chain.from_iterable(self.cycles), range(1, len(self.succ) + 1)))
+    def names(self) -> dict[int, str]:
+        """Arc -> its position from 1 along the cycles, as text, in walk order."""
+        n = len(self.succ)
+        labels = _LABELS if n <= len(_LABELS) else map(str, range(1, n + 1))
+        return dict(zip(chain.from_iterable(self.cycles), labels))
 
     @_cached
     def owner(self) -> dict[int, int]:
@@ -381,14 +386,12 @@ def _crossing_index(d: Diagram, x: Crossing) -> int:
 def switch_crossing(d: Diagram, x: Crossing) -> Diagram:
     """Exchange over/under at x; arc labels and all other crossings unchanged."""
     i = _crossing_index(d, x)
-    if x.over_in == "d":
-        y = Crossing(x.d, x.a, x.b, x.c, "b")
-    else:
-        y = Crossing(x.b, x.c, x.d, x.a, "d")
+    a, b, c, d_, over_in = x
+    y = _crossing((d_, a, b, c, "b") if over_in == "d" else (b, c, d_, a, "d"))
     out = Diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
     if d._unsettled is not None:
         # a switch keeps every kink status; new R2 pairs all contain i
-        object.__setattr__(out, "_unsettled", d._unsettled | {i})
+        out.__dict__["_unsettled"] = d._unsettled | {i}
     return out
 
 
@@ -439,14 +442,14 @@ def smooth_crossing(d: Diagram, x: Crossing) -> Diagram:
     get = mapping.get
     for j in far:
         a, b, c, d_, over_in = kept[j]
-        kept[j] = Crossing(get(a, a), get(b, b), get(c, c), get(d_, d_), over_in)
+        kept[j] = _crossing((get(a, a), get(b, b), get(c, c), get(d_, d_), over_in))
     del kept[i]
     out = Diagram(tuple(kept), loops)
     if d._unsettled is not None:
         # only the rebuilt crossings can gain a kink or an R2 partner
         unsettled = far.union(d._unsettled)
         unsettled.discard(i)
-        object.__setattr__(out, "_unsettled", frozenset([j - (j > i) for j in unsettled]))
+        out.__dict__["_unsettled"] = frozenset([j - (j > i) for j in unsettled])
     return out
 
 
@@ -461,32 +464,54 @@ def reduce(d: Diagram) -> Diagram:
     The first kink in crossing order is removed first; with no kink left,
     the lexicographically first R2 pair (i, j), i < j, goes next.
     """
+    xs = d.crossings
     index = d._arc_index
-    u_in, o_in, u_out, o_out = index.u_in, index.o_in, index.u_out, index.o_out
-    end, start, signs = index.end, index.start, index.signs
-    n = len(signs)
+    end, start = index.end, index.start
+    inn, out = list(end), list(start)  # the arcs into and out of each pass
 
     def is_kink(i: int) -> bool:
         # a kink shares one arc between its over and under passes
-        return u_out[i] == o_in[i] or u_in[i] == o_out[i]
+        p = i + i
+        return out[p + 1] == inn[p] or inn[p + 1] == out[p]
 
     def partners(i: int) -> list[int]:
         # opposite-sign crossings joined to i by an under arc and an over
         # arc: u is the under pass of crossing j = u >> 1, and u - 1 is
         # the over pass of j
-        overs = (end[o_out[i]], start[o_in[i]])
+        p = i + i
+        overs = (end[out[p]], start[inn[p]])
         found = []
-        for u in (end[u_out[i]], start[u_in[i]]):
+        for u in (end[out[p + 1]], start[inn[p + 1]]):
             j = u >> 1
-            if u & 1 and u - 1 in overs and j != i and signs[j] != signs[i]:
+            if u & 1 and u - 1 in overs and j != i and xs[j][4] != xs[i][4]:
                 found.append(j)
         return found
 
-    def drop_pass(i: int, under: bool) -> None:
-        # join the arc into the pass to the arc out of it; as in
+    def note(i: int) -> None:
+        # queue crossing i if it is a kink or has an R2 partner; only a move
+        # that touches a crossing can change that
+        if is_kink(i):
+            insort(kinks, i)
+        found = partners(i)
+        if found:
+            for j in [i] + found:
+                insort(pairs, j)
+
+    # sorted worklists of the crossings that may be a kink or have an R2
+    # partner; each is checked again when taken
+    kinks: list[int] = []
+    pairs: list[int] = []
+    for i in range(len(xs)) if d._unsettled is None else d._unsettled:
+        note(i)
+    if not kinks and not pairs:
+        d.__dict__["_unsettled"] = frozenset()
+        return d
+
+    def drop_pass(p: int) -> None:
+        # join the arc into pass p to the arc out of it; as in
         # smooth_crossing, the joined arc keeps the smaller label
         nonlocal loops
-        u, v = (u_in[i], u_out[i]) if under else (o_in[i], o_out[i])
+        u, v = inn[p], out[p]
         del end[u], start[v]
         if u == v:
             loops += 1  # the arc closes into a crossingless circle
@@ -494,23 +519,12 @@ def reduce(d: Diagram) -> Diagram:
         s, e = start.pop(u), end.pop(v)  # where u starts and v ends
         r = min(u, v)
         start[r], end[r] = s, e
-        (u_out if s & 1 else o_out)[s >> 1] = r
-        (u_in if e & 1 else o_in)[e >> 1] = r
+        out[s] = inn[e] = r
         touched.update((s >> 1, e >> 1))
 
-    # sorted worklists of the crossings that may be a kink or have an R2
-    # partner; each is checked again when taken, and crossings next to a
-    # move are added again
-    candidates = range(n) if d._unsettled is None else sorted(d._unsettled)
-    kinks = [i for i in candidates if is_kink(i)]
-    pairs = sorted({k for i in candidates for j in partners(i) for k in (i, j)})
-    if not kinks and not pairs:
-        object.__setattr__(d, "_unsettled", frozenset())
-        return d
-    # moves rewrite the incidences, so the helpers above switch to copies
-    u_in, o_in, u_out, o_out = list(u_in), list(o_in), list(u_out), list(o_out)
+    # moves rewrite the incidences, so they work on copies
     end, start = dict(end), dict(start)
-    alive = [True] * n
+    alive = [True] * len(xs)
     loops = d.free_loops
     touched: set[int] = set()
     changed: set[int] = set()
@@ -531,26 +545,24 @@ def reduce(d: Diagram) -> Diagram:
         touched.clear()
         for i in move:
             alive[i] = False
-            drop_pass(i, True)
-            drop_pass(i, False)
+            drop_pass(i + i + 1)
+            drop_pass(i + i)
         changed |= touched
         for i in touched:
             if alive[i]:
-                if is_kink(i):
-                    insort(kinks, i)
-                for j in [i] + partners(i):
-                    insort(pairs, j)
-    kept = []
-    for i, x in enumerate(d.crossings):
-        if not alive[i]:
-            continue
-        if i in changed:
-            b, d_ = (o_out[i], o_in[i]) if x.over_in == "d" else (o_in[i], o_out[i])
-            x = Crossing(u_in[i], b, u_out[i], d_, x.over_in)
-        kept.append(x)
-    out = Diagram(tuple(kept), loops)
-    object.__setattr__(out, "_unsettled", frozenset())
-    return out
+                note(i)
+    kept = list(xs)
+    for i in changed:
+        if alive[i]:
+            p = i + i
+            over_in = xs[i][4]
+            b, d_ = (out[p], inn[p]) if over_in == "d" else (inn[p], out[p])
+            kept[i] = _crossing((inn[p + 1], b, out[p + 1], d_, over_in))
+    # through a list, as in smooth_crossing: tuple(<iterator>) grows by
+    # repeated realloc, which ratchets peak RSS
+    result = Diagram(tuple(list(compress(kept, alive))), loops)
+    result.__dict__["_unsettled"] = frozenset()
+    return result
 
 
 def is_graph_connected(d: Diagram) -> bool:
@@ -567,15 +579,20 @@ def is_graph_connected(d: Diagram) -> bool:
     if pieces:
         return False
     index = d._arc_index
-    if len(index.cycles) == 1:
+    joins = len(index.cycles) - 1
+    if not joins:
         return True
     owner = index.owner
-    piece = list(range(len(index.cycles)))  # component -> piece label
-    for a, oi in zip(index.u_in, index.o_in):
-        p, q = piece[owner[a]], piece[owner[oi]]
+    piece = list(range(joins + 1))  # component -> piece label
+    # b is on the overstrand whichever way it runs
+    for a, b, _, _, _ in d.crossings:
+        p, q = piece[owner[a]], piece[owner[b]]
         if p != q:
             piece = [p if r == q else r for r in piece]
-    return len(set(piece)) == 1
+            joins -= 1
+            if not joins:
+                return True
+    return False
 
 
 # -- canonical form -----------------------------------------------------------
@@ -598,10 +615,26 @@ def canonical_code(d: Diagram) -> str:
     traversal; the relabeled crossings are serialized in sorted order.  Two
     diagrams that differ only by an order-preserving relabeling of arcs get
     the same code.
+
+    The code leaves out which of b/d is the incoming over arc, but the
+    sequential labels keep it: the over-out arc is the over-in arc + 1, or
+    the first arc of the cycle when the over-in arc is its last.  Both
+    readings fit only on a two-arc cycle; an under pass on it fixes the
+    direction, and a cycle with no under pass lifts off the rest, so either
+    reading is split and worth 0.  parse_pd refuses as ambiguous a code with
+    a component that passes under nowhere.
     """
-    order = d._arc_index.order
-    items = sorted((order[x.a], order[x.b], order[x.c], order[x.d]) for x in d.crossings)
-    return ";".join(["X(%d,%d,%d,%d)" % item for item in items] + ["O"] * d.free_loops)
+    index = d._arc_index
+    names, end, xs = index.names, index.end, d.crossings
+    # crossings differ in their relabelled first field, so the sorted order
+    # is the walk order of their under-in arcs
+    rows = []
+    for arc, name in names.items():
+        e = end[arc]
+        if e & 1:
+            _, b, c, d_, _ = xs[e >> 1]
+            rows.append("X(%s,%s,%s,%s)" % (name, names[b], names[c], names[d_]))
+    return ";".join(rows + ["O"] * d.free_loops)
 
 
 # -- constructions ------------------------------------------------------------

@@ -45,13 +45,9 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        for c in cs:
+        for c in _store(self, list(coeffs)).coeffs:
             if not isinstance(c, int):
                 raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
-        object.__setattr__(self, "coeffs", tuple(cs))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -94,17 +90,17 @@ class IntPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return IntPoly(out)
+        return _exact(out)
 
     def __neg__(self) -> IntPoly:
-        return IntPoly([-c for c in self.coeffs])
+        return _exact([-c for c in self.coeffs])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
         out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
-        return IntPoly(out)
+        return _exact(out)
 
     def __mul__(self, other: IntPoly) -> IntPoly:
         a, b = self.coeffs, other.coeffs
@@ -115,12 +111,12 @@ class IntPoly:
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return IntPoly(out)
+        return _exact(out)
 
     def __rmul__(self, scalar: int) -> IntPoly:
         if not isinstance(scalar, int):
             return NotImplemented
-        return IntPoly([scalar * c for c in self.coeffs])
+        return _exact([scalar * c for c in self.coeffs])
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -133,7 +129,7 @@ class IntPoly:
             raise ValueError("shift exponent must be >= 0")
         if not self.coeffs:
             return self
-        return IntPoly((0,) * k + self.coeffs)
+        return _exact([0] * k + list(self.coeffs))
 
     def coeff(self, k: int) -> int:
         """Coefficient of z**k; 0 beyond the degree, k < 0 rejected."""
@@ -169,6 +165,19 @@ class IntPoly:
 
     def __repr__(self) -> str:
         return f"IntPoly({format_poly(self)!r})"
+
+
+def _store(p: IntPoly, cs: list[int]) -> IntPoly:
+    """Give p the coefficients cs, trailing zeros dropped; returns p."""
+    while cs and cs[-1] == 0:
+        cs.pop()
+    object.__setattr__(p, "coeffs", tuple(cs))
+    return p
+
+
+def _exact(cs: list[int]) -> IntPoly:
+    """IntPoly(cs) for ints that IntPoly arithmetic made: no type check."""
+    return _store(object.__new__(IntPoly), cs)
 
 
 def format_poly(p: IntPoly) -> str:

@@ -98,7 +98,7 @@ def _first_visit_scan(d: Diagram) -> tuple[int | None, int]:
     seen = bytearray(len(d.crossings))
     first_bad: int | None = None
     bad = 0
-    for arc in index.order:
+    for arc in index.names:
         e = end[arc]
         i = e >> 1
         if seen[i]:

@@ -8,6 +8,8 @@ docstring, and were frozen before the skein engine existed.
 from __future__ import annotations
 
 import random
+from collections import Counter
+from itertools import chain, count
 
 import pytest
 
@@ -37,6 +39,8 @@ from conwaykit.diagram import (
     torus2_diagram,
     writhe,
 )
+from conwaykit.poly import IntPoly
+from conwaykit.skein import conway
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"  # standard table code, writhe -3
 
@@ -306,6 +310,41 @@ def test_canonical_code_reparses_to_same_diagram():
     for d in (parse_pd(TREFOIL_PD), torus2_diagram(2), torus2_diagram(5)):
         again = parse_pd(canonical_code(d))
         assert canonical_code(again) == canonical_code(d)
+
+
+def test_canonical_code_keeps_every_over_direction():
+    # the code leaves out which of b/d is the over-in arc; parsing it must
+    # recover the same one at every crossing, for knots and links alike
+    rng = random.Random(17)
+    seen: Counter = Counter()
+    for _ in range(400):
+        strands = rng.randint(2, 4)
+        length = rng.randint(1, 12)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)]
+        d = _braid_closure(word, strands)
+        for e in (d, reduce(d)):
+            if not e.crossings:
+                continue
+            walk = chain.from_iterable(components(e))
+            walked = _relabel(e, dict(zip(walk, count(1))))
+            # the docstring's rule: the over-out arc follows the over-in arc
+            wrap = {cycle[-1]: cycle[0] for cycle in components(walked) if cycle}
+            for x in walked.crossings:
+                assert x.over_out_arc == wrap.get(x.over_in_arc, x.over_in_arc + 1)
+            try:
+                parsed = parse_pd(canonical_code(e)).crossings
+            except PDValidationError:
+                # a component that passes under nowhere records no direction
+                # in any PD code; it lifts off the rest, so the link is split
+                unders = {x.a for x in e.crossings}
+                assert any(unders.isdisjoint(cycle) for cycle in components(e))
+                assert conway(e) == IntPoly()
+                seen["over only"] += 1
+                continue
+            want = [x.over_in for x in sorted(walked.crossings)]
+            assert [x.over_in for x in parsed] == want, pd_text(e)
+            seen[len(components(e))] += 1
+    assert all(seen[key] for key in (1, 2, 3, "over only")), seen
 
 
 # -- constructions -----------------------------------------------------------------

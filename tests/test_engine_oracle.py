@@ -11,8 +11,11 @@ polynomials.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import random
 from collections import Counter
+from importlib import resources
 
 import pytest
 
@@ -24,9 +27,11 @@ from conwaykit.diagram import (
     canonical_code,
     components,
     is_graph_connected,
+    parse_pd,
     reduce,
     smooth_crossing,
     switch_crossing,
+    torus2_diagram,
 )
 from conwaykit.skein import SkeinContext, conway
 
@@ -341,3 +346,43 @@ def test_smoothing_matches_reference_at_every_crossing():
         (False, False, False, True),
         (False, False, True, True),
     }, shapes
+
+
+def test_canonical_code_past_the_label_table():
+    # the shared position labels cover 256 arcs; longer diagrams make their own
+    for m in (63, 64, 65, 300):  # 4m arcs
+        d = _braid_closure((1, -2) * m, 3)
+        assert canonical_code(d) == ref_canonical_code(d)
+
+
+# Node count, hit count and sha256 over the sorted (key, coefficients) memo
+# items of memo_corpus() in one shared context.  Engine optimizations must
+# keep the keys, values and counts bit-identical.
+MEMO_PIN = (
+    2_973,
+    1_068,
+    "fb3da0d4e359a79161e04a4e463a4af26dcd3d72fbae6c92da91a1a2e3d304c4",
+)
+
+
+def memo_corpus() -> list[Diagram]:
+    rng = random.Random(6)
+    out = []
+    for k in range(5, 9):
+        for word in ((1, -2) * k, (1, 2) * k):
+            d = _braid_closure(word, 3)
+            out += [relabeled(d, rng) for _ in range(3)]
+    out.append(torus2_diagram(30))
+    table = json.loads(resources.files("conwaykit").joinpath("data/knot_table.json").read_text())
+    out += [parse_pd(entry["pd"]) for entry in table]
+    return out
+
+
+def test_memo_contents_match_the_pinned_digest():
+    ctx = SkeinContext()
+    for d in memo_corpus():
+        conway(d, ctx)
+    digest = hashlib.sha256(
+        repr(sorted((key, value.coeffs) for key, value in ctx.memo.items())).encode()
+    ).hexdigest()
+    assert (ctx.nodes_expanded, ctx.cache_hits, digest) == MEMO_PIN

@@ -73,6 +73,35 @@ def test_normalization_is_idempotent():
         assert not p.coeffs or p.coeffs[-1] != 0
 
 
+def test_construction_rejects_non_integer_coefficients():
+    for bad in ([1.5], [1, "2"], [0, 1, 2.0]):
+        with pytest.raises(TypeError):
+            IntPoly(bad)
+
+
+def test_arithmetic_results_are_not_type_checked_again(monkeypatch):
+    p, q = P("1+2z^2+z^4"), P("z-z^3")
+
+    def checked_init(self, coeffs=()):
+        raise AssertionError("an arithmetic result went through IntPoly.__init__")
+
+    monkeypatch.setattr(IntPoly, "__init__", checked_init)
+    results = [p + q, p - q, p - p, p * q, q.shift(2), -q, 3 * q, 0 * q]
+    monkeypatch.undo()
+    assert [format_poly(r) for r in results] == [
+        "1+z+2z^2-z^3+z^4",
+        "1-z+2z^2+z^3+z^4",
+        "0",
+        "z+z^3-z^5-z^7",
+        "z^3-z^5",
+        "-z+z^3",
+        "3z-3z^3",
+        "0",
+    ]
+    # trimmed like any other IntPoly
+    assert all(not r.coeffs or r.coeffs[-1] for r in results)
+
+
 def test_subtraction_cancels_to_zero():
     p = P("1+6z^2+10z^4+6z^6+z^8")
     assert p - p == IntPoly.zero()
@@ -159,10 +188,18 @@ def test_parse_rejects_stray_suffix():
 
 
 def test_docstring_examples():
+    # every module of the package, so that examples added anywhere stay true
     import doctest
+    import importlib
+    import pkgutil
 
-    import conwaykit.poly
+    import conwaykit
 
-    result = doctest.testmod(conwaykit.poly)
-    assert result.failed == 0
-    assert result.attempted >= 10
+    attempted = {}
+    for name in ["conwaykit"] + [
+        "conwaykit." + info.name for info in pkgutil.iter_modules(conwaykit.__path__)
+    ]:
+        result = doctest.testmod(importlib.import_module(name))
+        assert result.failed == 0, name
+        attempted[name] = result.attempted
+    assert attempted["conwaykit.poly"] >= 10
