@@ -122,6 +122,11 @@ class Diagram:
     def __repr__(self) -> str:
         return f"Diagram(crossings={self.crossings!r}, free_loops={self.free_loops!r})"
 
+    def __reduce__(self):
+        # pickles and copies carry the two fields, not the cached index
+        # or the reduction marks
+        return (Diagram, (self.crossings, self.free_loops))
+
     def arcs(self) -> set[int]:
         out: set[int] = set()
         for x in self.crossings:

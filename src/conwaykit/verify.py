@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from math import prod
 
 from . import VerifyConfig  # defined in the package; re-exported here
@@ -82,17 +82,19 @@ def _tally(
 
 
 def a2_A(n: int, l: int, r: int) -> int:
-    """Closed form for the z^2 coefficient of the first knot family."""
+    """Closed form for the z^2 coefficient of the first knot family,
+    4l^2 + r^2 + 2lr + 6l + 5r - 2n + 6, evaluated in nested form."""
     if n < 0 or l < 0 or r < 0:
         raise ValueError("indices must be nonnegative")
-    return 4 * l * l + r * r + 2 * l * r + 6 * l + 5 * r - 2 * n + 6
+    return (4 * l + 2 * r + 6) * l + (r + 5) * r + 6 - 2 * n
 
 
 def a2_B(n: int, l: int, r: int) -> int:
-    """Closed form for the z^2 coefficient of the second knot family."""
+    """Closed form for the z^2 coefficient of the second knot family,
+    2l^2 + r^2 + 2lr + 10l + 5r - 2n + 6, evaluated in nested form."""
     if n < 0 or l < 0 or r < 0:
         raise ValueError("indices must be nonnegative")
-    return 2 * l * l + r * r + 2 * l * r + 10 * l + 5 * r - 2 * n + 6
+    return (2 * l + 2 * r + 10) * l + (r + 5) * r + 6 - 2 * n
 
 
 def a3_of(n: int) -> int:
@@ -100,9 +102,10 @@ def a3_of(n: int) -> int:
     the alternating sum of the two closed forms over the skein steps."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(
-        a2_A(n, n - k, k - 1) - a2_B(n, n - k, k - 1) for k in range(1, n + 1)
-    )
+    total = 0
+    for l, r in zip(range(n - 1, -1, -1), range(n)):  # l = n-k, r = k-1
+        total += a2_A(n, l, r) - a2_B(n, l, r)
+    return total
 
 
 # One row per induction increment: (family, stepped index, swept indices,
@@ -128,26 +131,27 @@ def check_recurrences(max_n: int, max_l: int, max_r: int) -> list[VerificationRe
     reports = []
     for family, step, swept, c_l, c_r, c_0 in _STEPS:
         f = a2_A if family == "A" else a2_B
-        dn, dl, dr = (int(k == step) for k in "nlr")
         axes = {k: range(int(k == step), top[k] + 1) for k in swept}
-        # the increment depends on (l, r) only: work it out once per point
-        # of the plane, not once per n
-        plane = [
-            (l, r, l - dl, r - dr, c_l * l + c_r * r + c_0)
-            for l, r in product(axes.get("l", (0,)), axes.get("r", (0,)))
-        ]
+        axis = "nlr".index(step)
+        # walk one column per point of the other swept indices along the
+        # stepped index: each value serves the steps into and out of its point
+        bases = (axes.get(k, (0,)) if k != step else (0,) for k in "nlr")
+        bad = []
+        for base in product(*bases):
+            prev = f(*base)
+            cols = [axes[step] if i == axis else repeat(b) for i, b in enumerate(base)]
+            for n, l, r in zip(*cols):
+                cur = f(n, l, r)
+                if cur - prev != c_l * l + c_r * r + c_0:
+                    bad.append((n, l, r))
+                prev = cur
         label = ",".join(f"{k}={{{k}}}" for k in swept)  # e.g. "l={l},r={r}"
-        bad = [
-            label.format(n=n, l=l, r=r)
-            for n in axes.get("n", (0,))
-            for l, r, prev_l, prev_r, inc in plane
-            if f(n, l, r) - f(n - dn, prev_l, prev_r) != inc
-        ]
         reports.append(
             _tally(
                 f"recurrence_{family}_{step}_step",
                 ", ".join(f"{a.start} <= {k} <= {top[k]}" for k, a in axes.items()),
-                bad,
+                # found column by column, named in (n, l, r) order
+                [label.format(n=n, l=l, r=r) for n, l, r in sorted(bad)],
                 prod(map(len, axes.values())),
                 "mismatches",
             )

@@ -7,6 +7,8 @@ docstring, and were frozen before the skein engine existed.
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from collections import Counter
 from itertools import chain, count
@@ -271,6 +273,21 @@ def test_reduce_kink_on_larger_diagram():
     r = reduce(d)
     assert len(r.crossings) == 3
     assert len(components(r)) == 1
+
+
+def test_pickle_and_copies_carry_only_the_fields():
+    # the cached arc index and the reduction marks stay behind
+    fresh = len(pickle.dumps(torus2_diagram(100)))
+    d = torus2_diagram(100)
+    conway(d)
+    assert len(pickle.dumps(d)) == fresh
+    reduced = reduce(_braid_closure([1, 1, 1, 2], 3))
+    for value in (d, reduced):
+        for clone in (
+            pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)
+        ):
+            assert clone == value
+            assert vars(clone).keys() == {"crossings", "free_loops"}
 
 
 # -- connectivity ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
@@ -33,6 +34,14 @@ def test_closed_form_spot_values():
     assert a2_B(0, 0, 1) == 12
     assert a2_A(2, 3, 1) == 4 * 9 + 1 + 6 + 18 + 5 - 4 + 6
     assert a2_B(2, 3, 1) == 2 * 9 + 1 + 6 + 30 + 5 - 4 + 6
+
+
+def test_closed_forms_equal_the_expanded_polynomials():
+    # the forms are evaluated in nested form; the module docstring's
+    # expansions are the reference
+    for n, l, r in product(range(13), repeat=3):
+        assert a2_A(n, l, r) == 4 * l * l + r * r + 2 * l * r + 6 * l + 5 * r - 2 * n + 6
+        assert a2_B(n, l, r) == 2 * l * l + r * r + 2 * l * r + 10 * l + 5 * r - 2 * n + 6
 
 
 def test_closed_form_rejects_negative_indices():
@@ -76,6 +85,13 @@ def test_a3_of_pinned_values():
     assert a3_of(5) == 20
     with pytest.raises(ValueError):
         a3_of(-1)
+
+
+def test_a3_of_is_the_k_indexed_sum():
+    for n in range(301):
+        assert a3_of(n) == sum(
+            a2_A(n, n - k, k - 1) - a2_B(n, n - k, k - 1) for k in range(1, n + 1)
+        )
 
 
 def test_theorem_sum_check():
@@ -212,6 +228,15 @@ RECURRENCE_FAULTS = [
         "0 mismatches in 63 checks",
         "18 mismatches in 648 checks, first: n=3,l=0,r=4",
     ]),
+    # column order meets (5,0,3) before (2,4,0); the report names (2,4,0)
+    ("A", lambda n, l, r: (n, l, r) in ((2, 4, 0), (5, 0, 3)), (9, 8, 7), [
+        "0 mismatches in 8 checks",
+        "0 mismatches in 63 checks",
+        "4 mismatches in 648 checks, first: n=2,l=4,r=0",
+        "0 mismatches in 8 checks",
+        "0 mismatches in 63 checks",
+        "0 mismatches in 648 checks",
+    ]),
     ("B", lambda n, l, r: (l == 0), (3, 3, 3), [
         "0 mismatches in 3 checks",
         "0 mismatches in 12 checks",
@@ -226,7 +251,7 @@ RECURRENCE_FAULTS = [
 @pytest.mark.parametrize(
     "family,fault,box,computed",
     RECURRENCE_FAULTS,
-    ids=["A_l5", "A_n7_l3", "B_n3_r4", "B_l0"],
+    ids=["A_l5", "A_n7_l3", "B_n3_r4", "A_n2_l4_and_n5_r3", "B_l0"],
 )
 def test_recurrence_mismatch_strings(monkeypatch, family, fault, box, computed):
     from conwaykit import verify
@@ -237,6 +262,24 @@ def test_recurrence_mismatch_strings(monkeypatch, family, fault, box, computed):
     reports = check_recurrences(*box)
     assert [r.computed for r in reports] == computed
     assert [r.passed for r in reports] == [c.startswith("0 ") for c in computed]
+
+
+# each point of the box is evaluated once per row that sweeps it: 801 calls
+# of each closed form for (9, 8, 7) = 9 + 9*8 + 10*9*8, where evaluating
+# both ends of every step would take 2 * (8 + 63 + 648) = 1438
+@pytest.mark.parametrize("box,calls", [((9, 8, 7), 801), ((50, 50, 50), 135_303)])
+def test_recurrences_evaluate_each_point_once(monkeypatch, box, calls):
+    from conwaykit import verify
+
+    counts = {}
+    for name in ("a2_A", "a2_B"):
+        def counted(n, l, r, name=name, exact=getattr(verify, name)):
+            counts[name] = counts.get(name, 0) + 1
+            return exact(n, l, r)
+
+        monkeypatch.setattr(verify, name, counted)
+    assert all(r.passed for r in check_recurrences(*box))
+    assert counts == {"a2_A": calls, "a2_B": calls}
 
 
 def test_run_all_default_names_and_inputs():
