@@ -140,8 +140,6 @@ def _run_diagram_command(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     # only this command needs the harness; the others never load it
-    import dataclasses
-
     from .verify import run_all
 
     config = VerifyConfig(max_n=args.max_n, max_l=args.max_l, max_r=args.max_r)
@@ -149,7 +147,7 @@ def _run_verify(args: argparse.Namespace) -> int:
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
         for r in reports:
-            print(json.dumps(dataclasses.asdict(r)))
+            print(json.dumps(r._asdict()))
     else:
         for r in reports:
             if r.passed:

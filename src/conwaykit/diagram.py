@@ -101,6 +101,7 @@ class Diagram:
     # or None when any can: reduce settles its result (empty set) and the
     # moves on a settled diagram record which crossings they touched.
     _unsettled: frozenset[int] | None = None
+    _planar = False  # True once the diagram is known to be planar
 
     def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
         self.__dict__.update(crossings=crossings, free_loops=free_loops)
@@ -222,9 +223,10 @@ def parse_pd(text: str) -> Diagram:
 
     Raises PDSyntaxError for malformed text and PDValidationError when the
     arc structure is inconsistent (an arc not used exactly twice, succession
-    not a bijection, or an overstrand whose direction cannot be resolved).
+    not a bijection, an overstrand whose direction cannot be resolved, or
+    crossings that do not lie in the plane).
     """
-    tuples: list[tuple[int, int, int, int]] = []
+    labels: list[int] = []  # a, b, c, d of each crossing in turn
     free_loops = 0
     pos = 0
     while True:
@@ -235,87 +237,118 @@ def parse_pd(text: str) -> Diagram:
         if m.group(1) == "O":
             free_loops += 1
         else:
-            tuples.append(tuple([int(g) for g in m.groups()[1:]]))  # type: ignore[arg-type]
+            labels += map(int, m.group(2, 3, 4, 5))
         pos = m.end()
         if pos == len(text):
             break
         if text[pos] != ";":
             raise PDSyntaxError(f"expected ';', found {text[pos]!r}", pos)
         pos += 1
-    if not tuples and free_loops == 0:
+    if not labels and free_loops == 0:
         raise PDSyntaxError("empty diagram", 0)
-    for t in tuples:
-        for label in t:
-            if label < 1:
-                raise PDValidationError(f"arc labels must be positive, found {label}")
-    over_ins = _resolve_over_directions(tuples)
-    crossings = [Crossing(a, b, c, d, over_in) for (a, b, c, d), over_in in zip(tuples, over_ins)]
-    return Diagram(tuple(crossings), free_loops)
+    if 0 in labels:
+        raise PDValidationError("arc labels must be positive, found 0")
+    other = _pair_slots(labels)
+    over_ins = _resolve_over_directions(other)
+    _check_planar(other)
+    fields = iter(labels)
+    crossings = tuple(map(_crossing, zip(fields, fields, fields, fields, over_ins)))
+    out = Diagram(crossings, free_loops)
+    out.__dict__["_planar"] = True
+    return out
 
 
-def _resolve_over_directions(tuples: list[tuple[int, int, int, int]]) -> list[str]:
-    """Decide, for each crossing, whether b or d is the incoming over arc.
-
-    Every arc must end at exactly one pass and start at exactly one pass.
-    Under passes fix a as an end and c as a start; the over pass of each
-    crossing consumes one end and one start from {b, d}.  Unit propagation
-    commits every locally forced choice; anything still undecided afterwards
-    is genuinely ambiguous input.
-    """
-    counts: dict[int, int] = {}
-    for t in tuples:
-        for label in t:
-            counts[label] = counts.get(label, 0) + 1
-    bad = sorted(label for label, n in counts.items() if n != 2)
+def _pair_slots(labels: list[int]) -> list[int]:
+    """Slot s -> the slot at the other end of its arc, where labels[s] is
+    the arc in slot s: 4*i + 0..3 hold a, b, c, d of crossing i.  Each
+    label must occur exactly twice."""
+    other = [-1] * len(labels)
+    first: dict[int, int] = {}
+    bad = set()
+    for slot, label in enumerate(labels):
+        j = first.setdefault(label, slot)
+        if j != slot:
+            if other[j] < 0:
+                other[j], other[slot] = slot, j
+            else:
+                bad.add(label)  # a third use
+    bad.update(label for label, j in first.items() if other[j] < 0)
     if bad:
         raise PDValidationError(
-            f"each arc label must occur exactly twice; violated by {bad}"
+            f"each arc label must occur exactly twice; violated by {sorted(bad)}"
+        )
+    return other
+
+
+def _resolve_over_directions(other: list[int]) -> list[str]:
+    """Decide, for each crossing, whether b or d is the incoming over arc.
+
+    A strand entering at slot s leaves at s ^ 2 and enters the next crossing
+    at other[s ^ 2].  One walk of each component, from one of its under
+    passes entering at a, sets every over_in it meets; entering an under
+    pass at c means two passes share an arc end, so succession is not a
+    bijection.  A component that passes under nowhere is ambiguous.
+    """
+    over_in: list[str | None] = [None] * (len(other) >> 2)
+    entered = bytearray(len(other))
+    for start in range(0, len(other), 4):
+        s = start
+        while not entered[s]:
+            entered[s] = 1
+            if s & 3 == 2:
+                raise PDValidationError(
+                    f"arc succession is not a bijection at crossing {(s >> 2) + 1}"
+                )
+            if s & 1:
+                over_in[s >> 2] = "b" if s & 3 == 1 else "d"
+            s = other[s ^ 2]
+    if None in over_in:
+        raise PDValidationError(
+            "overstrand direction is ambiguous at crossing(s) "
+            + ", ".join(str(i + 1) for i, o in enumerate(over_in) if o is None)
+        )
+    return over_in  # type: ignore[return-value]
+
+
+def _check_planar(other: list[int]) -> None:
+    """Raise PDValidationError unless the crossings lie in the plane.
+
+    Slots run counterclockwise, so a face leaves slot s along its arc to
+    t = other[s] and goes on from slot (t - 1) mod 4 of that crossing.  By
+    Euler's formula a connected piece of k crossings bounds k + 2 faces in
+    the plane and fewer on any other surface, so n + 2p faces are needed,
+    p the number of pieces.
+    """
+    turn = [t - 1 if t & 3 else t + 3 for t in other]  # slot -> next slot of its face
+    seen = bytearray(len(other))
+    faces = pieces = 0
+    for start in range(len(other)):
+        if seen[start]:
+            continue
+        pieces += 1
+        todo = [start]  # slots of this piece, each walked round its face
+        for s in todo:
+            if not seen[s]:
+                faces += 1
+                while not seen[s]:
+                    seen[s] = 1
+                    todo.append(other[s])  # the face across the arc
+                    s = turn[s]
+    n = len(other) >> 2
+    if faces != n + 2 * pieces:
+        raise PDValidationError(
+            f"the PD code is not planar: its {n} crossings bound {faces} faces,"
+            f" not {n + 2 * pieces}"
         )
 
-    end_free = {label: 1 for label in counts}
-    start_free = {label: 1 for label in counts}
 
-    def consume(table: dict[int, int], label: int, what: str) -> None:
-        table[label] -= 1
-        if table[label] < 0:
-            raise PDValidationError(
-                f"arc succession is not a bijection: arc {label} {what} twice"
-            )
-
-    for a, _, c, _ in tuples:
-        consume(end_free, a, "ends")
-        consume(start_free, c, "starts")
-
-    decided: dict[int, str] = {}
-    while len(decided) < len(tuples):
-        progress = False
-        for i, (_, b, _, d) in enumerate(tuples):
-            if i in decided:
-                continue
-            b_in_ok = end_free[b] > 0 and start_free[d] > 0
-            d_in_ok = end_free[d] > 0 and start_free[b] > 0
-            if b == d:
-                # over pass enters and leaves on one arc: sign is unknowable
-                b_in_ok = d_in_ok = end_free[b] > 0 and start_free[b] > 0
-            if not b_in_ok and not d_in_ok:
-                raise PDValidationError(
-                    f"arc succession is not a bijection at crossing {i + 1}"
-                )
-            if b_in_ok and d_in_ok:
-                continue
-            over_in = "b" if b_in_ok else "d"
-            incoming, outgoing = (b, d) if over_in == "b" else (d, b)
-            consume(end_free, incoming, "ends")
-            consume(start_free, outgoing, "starts")
-            decided[i] = over_in
-            progress = True
-        if not progress:
-            undecided = sorted(set(range(len(tuples))) - set(decided))
-            raise PDValidationError(
-                "overstrand direction is ambiguous at crossing(s) "
-                + ", ".join(str(i + 1) for i in undecided)
-            )
-    return [decided[i] for i in range(len(tuples))]
+def _require_planar(d: Diagram) -> None:
+    """The planarity check of the public roots, once per diagram (parse_pd
+    marks its results).  Switches, smoothings and R1/R2 keep a diagram
+    planar, so no skein node checks again."""
+    if not d._planar:
+        _check_planar(_pair_slots([v for x in d.crossings for v in x[:4]]))
+        d.__dict__["_planar"] = True
 
 
 def pd_text(d: Diagram) -> str:
@@ -337,13 +370,6 @@ def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     return d._arc_index.cycles + ((),) * d.free_loops
 
 
-def sign(d: Diagram, x: Crossing) -> int:
-    """+1 or -1 for a crossing of d."""
-    if x not in d.crossings:
-        raise ValueError("crossing does not belong to this diagram")
-    return x.sign
-
-
 def writhe(d: Diagram) -> int:
     """Sum of crossing signs."""
     return sum(x.sign for x in d.crossings)
@@ -353,7 +379,9 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
     """Half the signed count of crossings between components c1 and c2.
 
     c1 and c2 index into components(d); they must be distinct and in range.
+    d must be planar (else PDValidationError), which makes the count even.
     """
+    _require_planar(d)
     comps = components(d)
     n = len(comps)
     if not (0 <= c1 < n and 0 <= c2 < n):
@@ -366,12 +394,6 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
     for x in d.crossings:
         if {owner[x.a], owner[x.over_in_arc]} == wanted:
             total += x.sign
-    # in a planar diagram two components cross an even number of times
-    if total % 2:
-        raise PDValidationError(
-            f"components {c1} and {c2} cross an odd number of times;"
-            " the PD code is not planar"
-        )
     return total // 2
 
 
@@ -388,11 +410,16 @@ def _crossing_index(d: Diagram, x: Crossing) -> int:
         raise ValueError("crossing does not belong to this diagram") from None
 
 
+def _switched(x: Crossing) -> Crossing:
+    # the over-in arc becomes a; the slots keep their counterclockwise order
+    a, b, c, d_, over_in = x
+    return _crossing((d_, a, b, c, "b") if over_in == "d" else (b, c, d_, a, "d"))
+
+
 def switch_crossing(d: Diagram, x: Crossing) -> Diagram:
     """Exchange over/under at x; arc labels and all other crossings unchanged."""
     i = _crossing_index(d, x)
-    a, b, c, d_, over_in = x
-    y = _crossing((d_, a, b, c, "b") if over_in == "d" else (b, c, d_, a, "d"))
+    y = _switched(x)
     out = Diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
     if d._unsettled is not None:
         # a switch keeps every kink status; new R2 pairs all contain i
@@ -402,19 +429,17 @@ def switch_crossing(d: Diagram, x: Crossing) -> Diagram:
 
 def mirror(d: Diagram) -> Diagram:
     """Exchange over/under at every crossing (every sign negates)."""
-    out = d
-    for x in list(out.crossings):
-        out = switch_crossing(out, x)
-    return out
+    return Diagram(tuple([_switched(x) for x in d.crossings]), d.free_loops)
 
 
 def smooth_crossing(d: Diagram, x: Crossing) -> Diagram:
     """Oriented smoothing at x: a joins the over-out arc, over-in joins c.
 
     The crossing count drops by one and the component count changes by
-    exactly one.  Each run of joined arcs takes its minimal label; a run
-    that closes on itself becomes a free loop.  Only the crossings at the
-    far ends of x's arcs are rebuilt.
+    exactly one.  A kink at x closes into a free loop; every other join
+    fuses two arcs under the smaller label (no strand of a planar diagram
+    meets x alone: a == c or over-in == over-out).  Only the crossings at
+    the far ends of x's arcs are rebuilt.
     """
     i = _crossing_index(d, x)
     a, b, c, d_, over_in = x
@@ -422,20 +447,14 @@ def smooth_crossing(d: Diagram, x: Crossing) -> Diagram:
     loops = d.free_loops
     if a == oo and oi == c:
         loops, runs = loops + 2, ()  # two kinks: two circles
-    elif a == c and oi == oo:
-        loops, runs = loops + 1, ()  # both strands meet only x: one circle
     elif a == oo or oi == c:
         # a kink closes into a circle; the other join fuses two arcs
         loops, runs = loops + 1, ((oi, c) if a == oo else (a, oo),)
-    elif a == c or oi == oo:
-        runs = ((a, oo, oi, c),)  # one strand meets only x: one run
     else:
         runs = ((a, oo), (oi, c))
     mapping: dict[int, int] = {}
-    for run in runs:
-        low = min(run)
-        for arc in run:
-            mapping[arc] = low
+    for u, v in runs:
+        mapping[u] = mapping[v] = min(u, v)
     start, end = d._arc_index.start, d._arc_index.end
     # the other crossings that share an arc with x
     far = {start[a] >> 1, end[oo] >> 1, start[oi] >> 1, end[c] >> 1}
@@ -652,22 +671,15 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     return Diagram(d1.crossings + shifted.crossings, d1.free_loops + d2.free_loops)
 
 
-def _arc_end_slot(d: Diagram, arc: int) -> tuple[int, str]:
-    """(crossing index, 'a' or over slot letter) where arc arrives."""
-    for i, x in enumerate(d.crossings):
-        if x.a == arc:
-            return i, "a"
-        if x.over_in_arc == arc:
-            return i, x.over_in
-    raise ValueError(f"arc {arc} does not end at any crossing")
-
-
-def _replace_slot(d: Diagram, index: int, slot: str, new_arc: int) -> Diagram:
-    x = d.crossings[index]
-    fields = {"a": x.a, "b": x.b, "c": x.c, "d": x.d}
-    fields[slot] = new_arc
-    y = Crossing(fields["a"], fields["b"], fields["c"], fields["d"], x.over_in)
-    return Diagram(d.crossings[:index] + (y,) + d.crossings[index + 1 :], d.free_loops)
+def _redirect(d: Diagram, ends: dict[int, int]) -> Diagram:
+    """d with ends[arc] in the slot where each arc of ends arrives."""
+    end = d._arc_index.end
+    xs = list(d.crossings)
+    for arc, new_arc in ends.items():
+        p = end[arc]  # the pass arc arrives at: 2*i + 1 under, 2*i over
+        x = xs[p >> 1]
+        xs[p >> 1] = x._replace(**{"a" if p & 1 else x.over_in: new_arc})
+    return Diagram(tuple(xs), d.free_loops)
 
 
 def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
@@ -681,15 +693,9 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
             raise ValueError(f"{which} operand is not a knot diagram")
         if arc not in d.arcs():
             raise ValueError(f"arc {arc} not present in the {which} operand")
-    offset = max(d1.arcs(), default=0)
-    shifted = _relabel(d2, {arc: arc + offset for arc in d2.arcs()})
-    arc2s = arc2 + offset
+    arc2 += max(d1.arcs(), default=0)  # its label in the union
     # cut arc1 (runs S1->E1) and arc2 (S2->E2); rejoin S1->E2 and S2->E1
-    i1, slot1 = _arc_end_slot(d1, arc1)
-    left = _replace_slot(d1, i1, slot1, arc2s)
-    i2, slot2 = _arc_end_slot(shifted, arc2s)
-    right = _replace_slot(shifted, i2, slot2, arc1)
-    return Diagram(left.crossings + right.crossings, d1.free_loops + d2.free_loops)
+    return _redirect(disjoint_union(d1, d2), {arc1: arc2, arc2: arc1})
 
 
 def meridian_link(d: Diagram, arc: int | None = None) -> Diagram:
@@ -713,8 +719,7 @@ def meridian_link(d: Diagram, arc: int | None = None) -> Diagram:
         raise ValueError(f"arc {arc} not present in the diagram")
     base = max(d.arcs())
     u, w, p, q = base + 1, base + 2, base + 3, base + 4
-    i, slot = _arc_end_slot(d, arc)
-    out = _replace_slot(d, i, slot, w)
+    out = _redirect(d, {arc: w})
     strand_enters_under = Crossing(u, q, w, p, "d")  # strand under, circle over
     strand_enters_over = Crossing(q, u, p, arc, "d")  # strand over, circle under
     return Diagram(
@@ -778,16 +783,10 @@ def _reverse_component(d: Diagram, comp: int) -> Diagram:
     arcs = set(cycles[comp])
     out: list[Crossing] = []
     for x in d.crossings:
-        under_rev = x.a in arcs
-        over_rev = x.over_in_arc in arcs
-        if under_rev and over_rev:
-            out.append(Crossing(x.c, x.d, x.a, x.b, x.over_in))
-        elif under_rev:
-            flipped = "b" if x.over_in == "d" else "d"
-            out.append(Crossing(x.c, x.d, x.a, x.b, flipped))
-        elif over_rev:
-            flipped = "b" if x.over_in == "d" else "d"
-            out.append(Crossing(x.a, x.b, x.c, x.d, flipped))
-        else:
-            out.append(x)
+        a, b, c, d_, over_in = x
+        if (a in arcs) != (x.over_in_arc in arcs):
+            over_in = "b" if over_in == "d" else "d"  # one strand turns: the sign flips
+        if a in arcs:
+            a, b, c, d_ = c, d_, a, b  # the understrand now enters at c
+        out.append(Crossing(a, b, c, d_, over_in))
     return Diagram(tuple(out), d.free_loops)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from .diagram import (
     Crossing,
     Diagram,
+    _require_planar,
     canonical_code,
     components,
     is_graph_connected,
@@ -115,8 +116,10 @@ def conway(d: Diagram, ctx: SkeinContext | None = None) -> IntPoly:
     """Conway polynomial of the oriented link presented by d.
 
     The empty diagram evaluates to 1 (the multiplicative unit, consistent
-    with connected sums); any split diagram evaluates to 0.
+    with connected sums); any split diagram evaluates to 0.  A non-planar
+    d raises PDValidationError.
     """
+    _require_planar(d)
     if ctx is None:
         ctx = SkeinContext()
     return _conway(d, ctx)

@@ -30,9 +30,9 @@ tolerances anywhere.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import product, repeat
 from math import prod
+from typing import NamedTuple
 
 from . import VerifyConfig  # defined in the package; re-exported here
 from .diagram import (
@@ -56,8 +56,7 @@ from .skein import (
 from .table import KnotTableEntry, TableError, check_entry, load_table
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     check_name: str
     inputs: str
     expected: str

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -17,6 +18,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def small_verify(monkeypatch):
+    """`conwaykit verify` with the sum, the property sweeps and their pairs cut
+    short: the CLI sets only the three index bounds, and the default run is
+    covered by test_run_all_default_names_and_inputs."""
+    monkeypatch.setattr(
+        "conwaykit.cli.VerifyConfig",
+        functools.partial(
+            conwaykit.VerifyConfig, theorem_max_n=10, diagram_samples=5, pair_samples=3
+        ),
+    )
 
 
 def test_conway_unknot(capsys):
@@ -98,6 +112,25 @@ def test_lk_of_non_planar_code_is_an_input_error(flags):
     assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
 
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+@pytest.mark.parametrize("command", ["conway", "a2"])
+def test_non_planar_code_is_an_input_error(command, flags):
+    # a one-component code that does not lie in the plane: the skein
+    # recursion would give it 1 but its mirror 1+z^2, though a knot and its
+    # mirror share one polynomial
+    src = str(Path(conwaykit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "conwaykit.cli", command, "--pd",
+         "X(2,3,4,1);X(4,1,3,2)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "not planar" in lines[0]
+
+
 def test_pd_from_file(capsys, tmp_path):
     p = tmp_path / "knot.pd"
     p.write_text(TREFOIL + "\n")
@@ -137,7 +170,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_verify_text(capsys):
+def test_verify_text(capsys, small_verify):
     code, out, _ = run(
         capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2"
     )
@@ -148,7 +181,7 @@ def test_verify_text(capsys):
     assert len(lines) >= 21
 
 
-def test_verify_json(capsys):
+def test_verify_json(capsys, small_verify):
     code, out, _ = run(
         capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2",
         "--format", "json",
@@ -161,7 +194,7 @@ def test_verify_json(capsys):
     assert all(list(r) == keys for r in reports)
 
 
-def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch):
+def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch, small_verify):
     from conwaykit.table import default_table_path
 
     monkeypatch.delenv("KNOT_TABLE", raising=False)
@@ -210,7 +243,9 @@ def test_verify_bound_defaults_come_from_config():
     )
 
 
-def test_verify_fails_table_without_chain_entries(capsys, tmp_path, monkeypatch):
+def test_verify_fails_table_without_chain_entries(
+    capsys, tmp_path, monkeypatch, small_verify
+):
     p = tmp_path / "empty.json"
     p.write_text("[]")
     monkeypatch.setenv("KNOT_TABLE", str(p))

@@ -35,7 +35,6 @@ from conwaykit.diagram import (
     parse_pd,
     pd_text,
     reduce,
-    sign,
     smooth_crossing,
     switch_crossing,
     torus2_diagram,
@@ -177,12 +176,6 @@ def test_linking_number_argument_errors():
         linking_number(hopf, 0, 0)
     with pytest.raises(ValueError):
         linking_number(hopf, 0, 2)
-
-
-def test_sign_rejects_foreign_crossing():
-    hopf = torus2_diagram(2)
-    with pytest.raises(ValueError):
-        sign(hopf, Crossing(9, 9, 9, 9, "d"))
 
 
 def test_reverse_component_negates_linking():

@@ -55,6 +55,23 @@ print("submodules ok")
 '''
 
 
+# The verify harness runs without dataclasses too: its reports are
+# NamedTuples, and the CLI prints them through _asdict().
+VERIFY = r'''
+import sys
+
+import conwaykit
+import conwaykit.cli
+
+config = conwaykit.VerifyConfig(
+    max_n=2, max_l=2, max_r=2, theorem_max_n=2, diagram_samples=3, pair_samples=2
+)
+assert all(r.passed for r in conwaykit.run_all(config))
+assert "dataclasses" not in sys.modules
+print("verify ok")
+'''
+
+
 def _run(script: str) -> str:
     src = str(Path(conwaykit.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -71,3 +88,7 @@ def test_engine_commands_load_only_the_engine():
 
 def test_lazy_submodules_resolve_as_attributes():
     assert _run(SUBMODULES) == "submodules ok\n"
+
+
+def test_verify_harness_loads_no_dataclasses():
+    assert _run(VERIFY) == "verify ok\n"

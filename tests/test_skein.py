@@ -117,8 +117,12 @@ def test_oracle_equivalence_through_m_11():
 
 def test_conway_Kn():
     assert conway_Kn(1) == parse_poly("1+3z^2+z^4") * parse_poly("1+z^2")
-    built = connected_sum(torus2_diagram(5), 1, mirror(torus2_diagram(3)), 1)
-    assert conway(built) == conway_Kn(1)
+    # the paper's knots: T(2, 2n+3) # mirror T(2, 2n+1), built as diagrams
+    for n in list(range(1, 11)) + [20, 40]:
+        built = connected_sum(
+            torus2_diagram(2 * n + 3), 1, mirror(torus2_diagram(2 * n + 1)), 1
+        )
+        assert conway(built) == conway_Kn(n), n
     for n in range(1, 21):
         assert conway_Kn(n).coeff(0) == 1
     with pytest.raises(ValueError):
