@@ -26,9 +26,9 @@ Text grammar::
 from __future__ import annotations
 
 import re
-from bisect import insort
+from bisect import bisect
 from functools import partial
-from itertools import chain, compress
+from itertools import chain
 from typing import Iterable, NamedTuple
 
 
@@ -97,11 +97,14 @@ class Diagram:
 
     crossings: tuple[Crossing, ...]
     free_loops: int
-    # Positions of the only crossings that can take part in an R1/R2 move,
-    # or None when any can: reduce settles its result (empty set) and the
-    # moves on a settled diagram record which crossings they touched.
+    # Positions that hold every kink and a crossing of every R2 pair, or
+    # None when any crossing may: reduce settles its result (empty set), a
+    # search of reduce narrows it to what it could not rule out, and the
+    # moves on such a diagram add the crossings they touched.
     _unsettled: frozenset[int] | None = None
-    _planar = False  # True once the diagram is known to be planar
+    # True once the diagram is known to pass the root check (_require_planar);
+    # switches and splices copy it from the diagram they start from
+    _planar = False
 
     def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
         self.__dict__.update(crossings=crossings, free_loops=free_loops)
@@ -343,11 +346,20 @@ def _check_planar(other: list[int]) -> None:
 
 
 def _require_planar(d: Diagram) -> None:
-    """The planarity check of the public roots, once per diagram (parse_pd
-    marks its results).  Switches, smoothings and R1/R2 keep a diagram
-    planar, so no skein node checks again."""
+    """The check of the public roots, once per diagram (parse_pd marks its
+    results): each label occurs twice, each arc has one successor and one
+    predecessor, and the crossings lie in the plane.  Switches, smoothings
+    and R1/R2 keep all three and pass the mark on, so no skein node and no
+    derived diagram checks again."""
     if not d._planar:
-        _check_planar(_pair_slots([v for x in d.crossings for v in x[:4]]))
+        other = _pair_slots([v for x in d.crossings for v in x[:4]])
+        # with each label twice, succession is a bijection when no arc
+        # arrives at two passes
+        if len(d._arc_index.end) != 2 * len(d.crossings):
+            raise PDValidationError(
+                "arc succession is not a bijection: an arc arrives at two passes"
+            )
+        _check_planar(other)
         d.__dict__["_planar"] = True
 
 
@@ -421,9 +433,11 @@ def switch_crossing(d: Diagram, x: Crossing) -> Diagram:
     i = _crossing_index(d, x)
     y = _switched(x)
     out = Diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
+    marks = out.__dict__
+    marks["_planar"] = d._planar
     if d._unsettled is not None:
         # a switch keeps every kink status; new R2 pairs all contain i
-        out.__dict__["_unsettled"] = d._unsettled | {i}
+        marks["_unsettled"] = d._unsettled | {i}
     return out
 
 
@@ -432,49 +446,76 @@ def mirror(d: Diagram) -> Diagram:
     return Diagram(tuple([_switched(x) for x in d.crossings]), d.free_loops)
 
 
+def _splice(d: Diagram, gone: tuple[int, ...], bridges: dict[int, int]) -> Diagram:
+    """d without the crossings at the ascending positions gone, each arc
+    into them continued by bridges[arc].
+
+    bridges maps each arc that arrives at a pass of a gone crossing to an
+    arc that leaves one.  Followed from an arc that leaves a kept crossing,
+    it gives a run of arcs that join under the smallest label; a run that
+    closes on itself becomes a free loop.  Only the crossings at the two
+    ends of each run are rebuilt.  A splice keeps a diagram planar, and the
+    rebuilt crossings are the only ones that can gain a kink or an R2
+    partner, so they join the crossings d left unsettled.
+    """
+    index = d._arc_index
+    start, end = index.start, index.end
+    mapping: dict[int, int] = {}
+    ends = set()  # positions of the crossings at the ends of the runs
+    nexts = bridges.values()
+    for u in bridges:
+        if u in nexts:
+            continue  # not the first arc of a run
+        low = arc = u
+        while arc in bridges:
+            arc = bridges[arc]
+            if arc < low:
+                low = arc
+        mapping[u] = mapping[arc] = low
+        ends.update((start[u] >> 1, end[arc] >> 1))
+        while bridges[u] != arc:  # inner arcs: no kept crossing, but not a closed run
+            u = bridges[u]
+            mapping[u] = low
+    loops = d.free_loops
+    for u in bridges:
+        if u not in mapping:  # on a run that closes: its arcs meet no kept crossing
+            loops += 1
+            while u not in mapping:
+                mapping[u] = u
+                u = bridges[u]
+    kept = list(d.crossings)
+    get = mapping.get
+    for j in ends:
+        a, b, c, d_, over_in = kept[j]
+        kept[j] = _crossing((get(a, a), get(b, b), get(c, c), get(d_, d_), over_in))
+    for i in reversed(gone):
+        del kept[i]
+    # not tuple(<generator>): that grows by repeated realloc, which past
+    # 512 bytes leaves pymalloc and ratchets peak RSS on long diagrams;
+    # tuple(<list>) allocates once
+    out = Diagram(tuple(kept), loops)
+    marks = out.__dict__
+    marks["_planar"] = d._planar
+    if d._unsettled is not None:
+        ends.update(d._unsettled)
+        ends.difference_update(gone)
+        marks["_unsettled"] = frozenset([j - bisect(gone, j) for j in ends])
+    return out
+
+
 def smooth_crossing(d: Diagram, x: Crossing) -> Diagram:
     """Oriented smoothing at x: a joins the over-out arc, over-in joins c.
 
     The crossing count drops by one and the component count changes by
-    exactly one.  A kink at x closes into a free loop; every other join
-    fuses two arcs under the smaller label (no strand of a planar diagram
-    meets x alone: a == c or over-in == over-out).  Only the crossings at
-    the far ends of x's arcs are rebuilt.
+    exactly one.  One splice with these crossed bridges: a kink at x
+    closes into a free loop, and every other join fuses two arcs under the
+    smaller label (no strand of a planar diagram meets x alone: a == c or
+    over-in == over-out).  Only the crossings at the far ends of x's arcs
+    are rebuilt.
     """
-    i = _crossing_index(d, x)
     a, b, c, d_, over_in = x
     oi, oo = (d_, b) if over_in == "d" else (b, d_)
-    loops = d.free_loops
-    if a == oo and oi == c:
-        loops, runs = loops + 2, ()  # two kinks: two circles
-    elif a == oo or oi == c:
-        # a kink closes into a circle; the other join fuses two arcs
-        loops, runs = loops + 1, ((oi, c) if a == oo else (a, oo),)
-    else:
-        runs = ((a, oo), (oi, c))
-    mapping: dict[int, int] = {}
-    for u, v in runs:
-        mapping[u] = mapping[v] = min(u, v)
-    start, end = d._arc_index.start, d._arc_index.end
-    # the other crossings that share an arc with x
-    far = {start[a] >> 1, end[oo] >> 1, start[oi] >> 1, end[c] >> 1}
-    far.discard(i)
-    # not tuple(<generator>): that grows by repeated realloc, which past
-    # 512 bytes leaves pymalloc and ratchets peak RSS on long diagrams;
-    # tuple(<list>) allocates once
-    kept = list(d.crossings)
-    get = mapping.get
-    for j in far:
-        a, b, c, d_, over_in = kept[j]
-        kept[j] = _crossing((get(a, a), get(b, b), get(c, c), get(d_, d_), over_in))
-    del kept[i]
-    out = Diagram(tuple(kept), loops)
-    if d._unsettled is not None:
-        # only the rebuilt crossings can gain a kink or an R2 partner
-        unsettled = far.union(d._unsettled)
-        unsettled.discard(i)
-        out.__dict__["_unsettled"] = frozenset([j - (j > i) for j in unsettled])
-    return out
+    return _splice(d, (_crossing_index(d, x),), {a: oo, oi: c})
 
 
 # -- Reidemeister reduction ----------------------------------------------------
@@ -487,106 +528,55 @@ def reduce(d: Diagram) -> Diagram:
     moves are attempted; the result is generally not a minimal diagram.
     The first kink in crossing order is removed first; with no kink left,
     the lexicographically first R2 pair (i, j), i < j, goes next.
+
+    Each step searches the crossings d leaves unsettled (all of them when
+    d carries no such mark) and splices the move out with straight
+    bridges.  The next step searches only the crossings this one found in
+    a kink or an R2 pair and those the splice rebuilt; a search that finds
+    no move settles the result.
     """
-    xs = d.crossings
-    index = d._arc_index
-    end, start = index.end, index.start
-    inn, out = list(end), list(start)  # the arcs into and out of each pass
-
-    def is_kink(i: int) -> bool:
-        # a kink shares one arc between its over and under passes
-        p = i + i
-        return out[p + 1] == inn[p] or inn[p + 1] == out[p]
-
-    def partners(i: int) -> list[int]:
-        # opposite-sign crossings joined to i by an under arc and an over
-        # arc: u is the under pass of crossing j = u >> 1, and u - 1 is
-        # the over pass of j
-        p = i + i
-        overs = (end[out[p]], start[inn[p]])
-        found = []
-        for u in (end[out[p + 1]], start[inn[p + 1]]):
-            j = u >> 1
-            if u & 1 and u - 1 in overs and j != i and xs[j][4] != xs[i][4]:
-                found.append(j)
-        return found
-
-    def note(i: int) -> None:
-        # queue crossing i if it is a kink or has an R2 partner; only a move
-        # that touches a crossing can change that
-        if is_kink(i):
-            insort(kinks, i)
-        found = partners(i)
-        if found:
-            for j in [i] + found:
-                insort(pairs, j)
-
-    # sorted worklists of the crossings that may be a kink or have an R2
-    # partner; each is checked again when taken
-    kinks: list[int] = []
-    pairs: list[int] = []
-    for i in range(len(xs)) if d._unsettled is None else d._unsettled:
-        note(i)
-    if not kinks and not pairs:
-        d.__dict__["_unsettled"] = frozenset()
-        return d
-
-    def drop_pass(p: int) -> None:
-        # join the arc into pass p to the arc out of it; as in
-        # smooth_crossing, the joined arc keeps the smaller label
-        nonlocal loops
-        u, v = inn[p], out[p]
-        del end[u], start[v]
-        if u == v:
-            loops += 1  # the arc closes into a crossingless circle
-            return
-        s, e = start.pop(u), end.pop(v)  # where u starts and v ends
-        r = min(u, v)
-        start[r], end[r] = s, e
-        out[s] = inn[e] = r
-        touched.update((s >> 1, e >> 1))
-
-    # moves rewrite the incidences, so they work on copies
-    end, start = dict(end), dict(start)
-    alive = [True] * len(xs)
-    loops = d.free_loops
-    touched: set[int] = set()
-    changed: set[int] = set()
     while True:
-        move: list[int] = []
-        while kinks and not move:
-            i = kinks.pop(0)
-            if alive[i] and is_kink(i):
-                move = [i]
-        while pairs and not move:
-            i = pairs.pop(0)
-            if alive[i]:
-                found = partners(i)
-                if found:
-                    move = [i, min(found)]
-        if not move:
-            break
-        touched.clear()
+        xs = d.crossings
+        index = d._arc_index
+        end, start = index.end, index.start
+        kink = move = None
+        left = []  # the searched crossings that are kinks or have R2 partners
+        for i in range(len(xs)) if d._unsettled is None else sorted(d._unsettled):
+            a, b, c, d_, over_in = xs[i]
+            oi, oo = (d_, b) if over_in == "d" else (b, d_)
+            if a == oo or c == oi:
+                # a kink shares one arc between its over and under passes
+                left.append(i)
+                if kink is None:
+                    kink = i
+                continue
+            # an R2 partner j has the other sign and is joined to i by an
+            # under arc and an over arc: u is the under pass of j = u >> 1,
+            # and u - 1 the over pass of j
+            for u in (end[c], start[a]):
+                if u & 1 and (u - 1 == end[oo] or u - 1 == start[oi]):
+                    j = u >> 1
+                    if xs[j][4] != over_in:
+                        left.append(i)
+                        found = (i, j) if i < j else (j, i)
+                        if move is None or found < move:
+                            move = found
+        if kink is not None:
+            move = (kink,)
+        elif move is None:
+            d.__dict__["_unsettled"] = frozenset()
+            return d
+        bridges = {}
         for i in move:
-            alive[i] = False
-            drop_pass(i + i + 1)
-            drop_pass(i + i)
-        changed |= touched
-        for i in touched:
-            if alive[i]:
-                note(i)
-    kept = list(xs)
-    for i in changed:
-        if alive[i]:
-            p = i + i
-            over_in = xs[i][4]
-            b, d_ = (out[p], inn[p]) if over_in == "d" else (inn[p], out[p])
-            kept[i] = _crossing((inn[p + 1], b, out[p + 1], d_, over_in))
-    # through a list, as in smooth_crossing: tuple(<iterator>) grows by
-    # repeated realloc, which ratchets peak RSS
-    result = Diagram(tuple(list(compress(kept, alive))), loops)
-    result.__dict__["_unsettled"] = frozenset()
-    return result
+            a, b, c, d_, over_in = xs[i]
+            bridges[a] = c
+            if over_in == "d":
+                bridges[d_] = b
+            else:
+                bridges[b] = d_
+        # left holds every kink of d and a crossing of every R2 pair
+        d.__dict__["_unsettled"] = frozenset(left)
+        d = _splice(d, move, bridges)
 
 
 def is_graph_connected(d: Diagram) -> bool:

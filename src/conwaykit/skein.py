@@ -210,6 +210,7 @@ def conway_Kn(n: int) -> IntPoly:
 
 def a2(d: Diagram, ctx: SkeinContext | None = None) -> int:
     """The z^2 coefficient of a knot diagram's Conway polynomial."""
+    _require_planar(d)
     if len(components(d)) != 1:
         raise ValueError("a2 is defined for knot diagrams only")
     return conway(d, ctx).coeff(2)
@@ -218,7 +219,11 @@ def a2(d: Diagram, ctx: SkeinContext | None = None) -> int:
 def check_skein_identity(
     d: Diagram, x: Crossing, ctx: SkeinContext | None = None
 ) -> bool:
-    """Verify nabla(L+) - nabla(L-) = z nabla(L0) at crossing x of d."""
+    """Verify nabla(L+) - nabla(L-) = z nabla(L0) at crossing x of d.
+
+    d is checked once here; the switched and smoothed diagrams inherit it.
+    """
+    _require_planar(d)
     if ctx is None:
         ctx = SkeinContext()
     switched = switch_crossing(d, x)
@@ -237,6 +242,7 @@ def check_a2_skein(
     two-component link, whose linking number the identity predicts as the
     drop in a2 under the crossing change.
     """
+    _require_planar(d_plus)
     if len(components(d_plus)) != 1:
         raise ValueError("expected a knot diagram")
     if x.sign != 1:

@@ -5,7 +5,9 @@ must refuse each of those with a typed error, so that every code it
 accepts is a planar link diagram and its Conway polynomial obeys the laws
 of one: the mirror law, invariance when every component is reversed, and
 invariance under R1/R2.  Random PD-like text gets a diagram or one of the
-two typed errors, never another exception.
+two typed errors, never another exception.  The same laws hold on seeded
+braid closures of up to 12 crossings, where smoothing and R1/R2 splice
+longer runs of arcs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from conwaykit.diagram import (
     Diagram,
     PDSyntaxError,
     PDValidationError,
+    _braid_closure,
     _reverse_component,
     components,
     mirror,
@@ -89,3 +92,15 @@ def test_random_text_gets_a_diagram_or_a_typed_error():
         accepted += 1
         assert_laws(d)
     assert accepted > 20
+
+
+def test_braid_closures_up_to_12_crossings_obey_the_laws():
+    rng = random.Random(3)
+    for _ in range(200):
+        strands = rng.randint(2, 5)
+        length = rng.randint(1, 12)
+        word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)]
+        d = _braid_closure(word, strands)
+        xs = list(d.crossings)
+        rng.shuffle(xs)  # the laws hold in any crossing order
+        assert_laws(Diagram(tuple(xs), d.free_loops))

@@ -14,8 +14,10 @@ import sys
 
 import pytest
 
+from conwaykit import diagram
 from conwaykit.diagram import (
     Diagram,
+    PDValidationError,
     UNKNOT,
     _braid_closure,
     _relabel,
@@ -26,6 +28,9 @@ from conwaykit.diagram import (
     linking_number,
     mirror,
     parse_pd,
+    reduce,
+    smooth_crossing,
+    switch_crossing,
     torus2_diagram,
 )
 from conwaykit.poly import IntPoly, parse_poly
@@ -359,3 +364,52 @@ def test_memo_entries_match_fresh_recomputation():
     sampled = sorted(ctx.memo)[::3][:8]
     for key in sampled:
         assert conway(parse_pd(key), SkeinContext()) == ctx.memo[key]
+
+
+# -- the root check ------------------------------------------------------------------
+
+
+def test_the_root_check_runs_once_and_passes_to_derived_diagrams(monkeypatch):
+    walks = []
+    face_walk = diagram._check_planar
+
+    def counted(other):
+        walks.append(len(other) // 4)
+        face_walk(other)
+
+    monkeypatch.setattr(diagram, "_check_planar", counted)
+    ctx = SkeinContext()
+    # a hand-built diagram is walked once, whatever is derived from it
+    tref = Diagram(parse_pd(TREFOIL_PD).crossings)
+    assert walks == [3]
+    for x in tref.crossings:
+        assert check_skein_identity(tref, x, ctx)
+        child = smooth_crossing(tref, x)
+        conway(child, ctx)
+        conway(reduce(switch_crossing(child, child.crossings[0])), ctx)
+    t5 = torus2_diagram(5)
+    for x in t5.crossings:
+        assert check_a2_skein(t5, x, ctx)
+    assert walks == [3, 3, 5]
+    # a derived diagram of an unchecked one is checked at its own root
+    t3 = torus2_diagram(3)
+    conway(switch_crossing(t3, t3.crossings[0]))
+    assert walks == [3, 3, 5, 3]
+
+
+def test_over_directions_that_break_succession_are_refused():
+    bad = Diagram(
+        tuple(x._replace(over_in="d") for x in parse_pd(TREFOIL_PD).crossings)
+    )
+    for refuse in (
+        conway,
+        a2,
+        lambda d: linking_number(d, 0, 1),
+        lambda d: check_skein_identity(d, d.crossings[0]),
+        lambda d: check_a2_skein(d, d.crossings[0]),
+    ):
+        with pytest.raises(PDValidationError, match="not a bijection"):
+            refuse(bad)
+    # a component that passes under nowhere has a valid succession
+    assert conway(_braid_closure([-1, 1], 2)) == IntPoly()
+    assert conway(_braid_closure([2, -1, 1], 3)) == IntPoly()
