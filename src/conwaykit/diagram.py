@@ -92,7 +92,11 @@ _crossing = partial(tuple.__new__, Crossing)
 class Diagram:
     """An oriented link diagram: crossings plus crossingless circles.
 
-    Immutable and hashable; equal only to another Diagram.
+    Immutable and hashable; equal only to another Diagram.  The constructor
+    refuses all but a planar diagram: free_loops an int >= 0, Crossings
+    with over_in 'b' or 'd' and positive int labels, each label used twice
+    and no arc arriving at two passes.  The parser, the moves and the
+    builders make valid diagrams from valid ones and skip the check.
     """
 
     crossings: tuple[Crossing, ...]
@@ -102,11 +106,32 @@ class Diagram:
     # search of reduce narrows it to what it could not rule out, and the
     # moves on such a diagram add the crossings they touched.
     _unsettled: frozenset[int] | None = None
-    # True once the diagram is known to pass the root check (_require_planar);
-    # switches and splices copy it from the diagram they start from
-    _planar = False
 
     def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
+        if free_loops.__class__ is not int:
+            raise TypeError(f"free_loops must be an int, found {free_loops!r}")
+        if free_loops < 0:
+            raise ValueError(f"free_loops must be >= 0, found {free_loops}")
+        crossings = tuple(crossings)
+        labels: list[int] = []
+        for x in crossings:
+            if x.__class__ is not Crossing or x[4] not in ("b", "d"):
+                raise TypeError(
+                    f"expected a Crossing with over_in 'b' or 'd', found {x!r}"
+                )
+            labels += x[:4]
+        bad = [v for v in labels if v.__class__ is not int]  # a bool is not a label
+        if bad:
+            raise TypeError(f"arc labels must be ints, found {bad[0]!r}")
+        other = _pair_slots(labels)
+        # with each label twice, succession is a bijection when no arc
+        # arrives at two passes
+        ins = {v for x in crossings for v in (x[0], x[1 if x[4] == "b" else 3])}
+        if 2 * len(ins) != len(labels):
+            raise PDValidationError(
+                "arc succession is not a bijection: an arc arrives at two passes"
+            )
+        _check_planar(other)
         self.__dict__.update(crossings=crossings, free_loops=free_loops)
 
     def __setattr__(self, name, value):
@@ -128,8 +153,8 @@ class Diagram:
 
     def __reduce__(self):
         # pickles and copies carry the two fields, not the cached index
-        # or the reduction marks
-        return (Diagram, (self.crossings, self.free_loops))
+        # or the reduction marks; a copy of a valid diagram is valid
+        return (_diagram, (self.crossings, self.free_loops))
 
     def arcs(self) -> set[int]:
         out: set[int] = set()
@@ -141,6 +166,13 @@ class Diagram:
     def _arc_index(self) -> _ArcIndex:
         # a diagram never changes, so one index serves every step on it
         return _ArcIndex(self.crossings)
+
+
+def _diagram(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
+    """A Diagram without the check, for crossings known to be valid."""
+    d = object.__new__(Diagram)
+    d.__dict__.update(crossings=crossings, free_loops=free_loops)
+    return d
 
 
 # memo keys print arc positions from these: "%s" of a str is several times
@@ -213,7 +245,7 @@ class _ArcIndex:
         return {arc: k for k, cycle in enumerate(self.cycles) for arc in cycle}
 
 
-UNKNOT = Diagram(free_loops=1)
+UNKNOT = _diagram((), 1)
 
 
 # -- parsing and validation --------------------------------------------------
@@ -249,22 +281,20 @@ def parse_pd(text: str) -> Diagram:
         pos += 1
     if not labels and free_loops == 0:
         raise PDSyntaxError("empty diagram", 0)
-    if 0 in labels:
-        raise PDValidationError("arc labels must be positive, found 0")
     other = _pair_slots(labels)
     over_ins = _resolve_over_directions(other)
     _check_planar(other)
     fields = iter(labels)
     crossings = tuple(map(_crossing, zip(fields, fields, fields, fields, over_ins)))
-    out = Diagram(crossings, free_loops)
-    out.__dict__["_planar"] = True
-    return out
+    return _diagram(crossings, free_loops)
 
 
 def _pair_slots(labels: list[int]) -> list[int]:
     """Slot s -> the slot at the other end of its arc, where labels[s] is
     the arc in slot s: 4*i + 0..3 hold a, b, c, d of crossing i.  Each
-    label must occur exactly twice."""
+    label must be positive and occur exactly twice."""
+    if min(labels, default=1) < 1:
+        raise PDValidationError(f"arc labels must be positive, found {min(labels)}")
     other = [-1] * len(labels)
     first: dict[int, int] = {}
     bad = set()
@@ -345,24 +375,6 @@ def _check_planar(other: list[int]) -> None:
         )
 
 
-def _require_planar(d: Diagram) -> None:
-    """The check of the public roots, once per diagram (parse_pd marks its
-    results): each label occurs twice, each arc has one successor and one
-    predecessor, and the crossings lie in the plane.  Switches, smoothings
-    and R1/R2 keep all three and pass the mark on, so no skein node and no
-    derived diagram checks again."""
-    if not d._planar:
-        other = _pair_slots([v for x in d.crossings for v in x[:4]])
-        # with each label twice, succession is a bijection when no arc
-        # arrives at two passes
-        if len(d._arc_index.end) != 2 * len(d.crossings):
-            raise PDValidationError(
-                "arc succession is not a bijection: an arc arrives at two passes"
-            )
-        _check_planar(other)
-        d.__dict__["_planar"] = True
-
-
 def pd_text(d: Diagram) -> str:
     """PD text for d with its current labels (crossings in stored order)."""
     items = [f"X({x.a},{x.b},{x.c},{x.d})" for x in d.crossings]
@@ -391,9 +403,8 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
     """Half the signed count of crossings between components c1 and c2.
 
     c1 and c2 index into components(d); they must be distinct and in range.
-    d must be planar (else PDValidationError), which makes the count even.
+    Every Diagram is planar (see Diagram), which makes the count even.
     """
-    _require_planar(d)
     comps = components(d)
     n = len(comps)
     if not (0 <= c1 < n and 0 <= c2 < n):
@@ -432,18 +443,16 @@ def switch_crossing(d: Diagram, x: Crossing) -> Diagram:
     """Exchange over/under at x; arc labels and all other crossings unchanged."""
     i = _crossing_index(d, x)
     y = _switched(x)
-    out = Diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
-    marks = out.__dict__
-    marks["_planar"] = d._planar
+    out = _diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
     if d._unsettled is not None:
         # a switch keeps every kink status; new R2 pairs all contain i
-        marks["_unsettled"] = d._unsettled | {i}
+        out.__dict__["_unsettled"] = d._unsettled | {i}
     return out
 
 
 def mirror(d: Diagram) -> Diagram:
     """Exchange over/under at every crossing (every sign negates)."""
-    return Diagram(tuple([_switched(x) for x in d.crossings]), d.free_loops)
+    return _diagram(tuple([_switched(x) for x in d.crossings]), d.free_loops)
 
 
 def _splice(d: Diagram, gone: tuple[int, ...], bridges: dict[int, int]) -> Diagram:
@@ -493,13 +502,11 @@ def _splice(d: Diagram, gone: tuple[int, ...], bridges: dict[int, int]) -> Diagr
     # not tuple(<generator>): that grows by repeated realloc, which past
     # 512 bytes leaves pymalloc and ratchets peak RSS on long diagrams;
     # tuple(<list>) allocates once
-    out = Diagram(tuple(kept), loops)
-    marks = out.__dict__
-    marks["_planar"] = d._planar
+    out = _diagram(tuple(kept), loops)
     if d._unsettled is not None:
         ends.update(d._unsettled)
         ends.difference_update(gone)
-        marks["_unsettled"] = frozenset([j - bisect(gone, j) for j in ends])
+        out.__dict__["_unsettled"] = frozenset([j - bisect(gone, j) for j in ends])
     return out
 
 
@@ -618,7 +625,7 @@ def _relabel(d: Diagram, mapping: dict[int, int]) -> Diagram:
         Crossing(get(a, a), get(b, b), get(c, c), get(d_, d_), over_in)
         for a, b, c, d_, over_in in d.crossings
     ]
-    return Diagram(tuple(crossings), d.free_loops)
+    return _diagram(tuple(crossings), d.free_loops)
 
 
 def canonical_code(d: Diagram) -> str:
@@ -658,7 +665,7 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     """Place d2 next to d1 (labels shifted clear of d1's)."""
     offset = max(d1.arcs(), default=0)
     shifted = _relabel(d2, {arc: arc + offset for arc in d2.arcs()})
-    return Diagram(d1.crossings + shifted.crossings, d1.free_loops + d2.free_loops)
+    return _diagram(d1.crossings + shifted.crossings, d1.free_loops + d2.free_loops)
 
 
 def _redirect(d: Diagram, ends: dict[int, int]) -> Diagram:
@@ -669,7 +676,7 @@ def _redirect(d: Diagram, ends: dict[int, int]) -> Diagram:
         p = end[arc]  # the pass arc arrives at: 2*i + 1 under, 2*i over
         x = xs[p >> 1]
         xs[p >> 1] = x._replace(**{"a" if p & 1 else x.over_in: new_arc})
-    return Diagram(tuple(xs), d.free_loops)
+    return _diagram(tuple(xs), d.free_loops)
 
 
 def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
@@ -681,8 +688,8 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     for d, arc, which in ((d1, arc1, "first"), (d2, arc2, "second")):
         if len(components(d)) != 1:
             raise ValueError(f"{which} operand is not a knot diagram")
-        if arc not in d.arcs():
-            raise ValueError(f"arc {arc} not present in the {which} operand")
+        if arc.__class__ is not int or arc not in d.arcs():  # True == 1, no label
+            raise ValueError(f"arc {arc!r} not present in the {which} operand")
     arc2 += max(d1.arcs(), default=0)  # its label in the union
     # cut arc1 (runs S1->E1) and arc2 (S2->E2); rejoin S1->E2 and S2->E1
     return _redirect(disjoint_union(d1, d2), {arc1: arc2, arc2: arc1})
@@ -699,20 +706,20 @@ def meridian_link(d: Diagram, arc: int | None = None) -> Diagram:
         raise ValueError("meridian_link needs a knot diagram")
     if not d.crossings:
         # the unknot 'O': the result is a positive Hopf diagram
-        return Diagram(
+        return _diagram(
             (Crossing(4, 2, 3, 1, "d"), Crossing(2, 4, 1, 3, "d")),
             d.free_loops - 1,
         )
     if arc is None:
         arc = min(d.arcs())
-    if arc not in d.arcs():
-        raise ValueError(f"arc {arc} not present in the diagram")
+    if arc.__class__ is not int or arc not in d.arcs():  # True == 1, no label
+        raise ValueError(f"arc {arc!r} not present in the diagram")
     base = max(d.arcs())
     u, w, p, q = base + 1, base + 2, base + 3, base + 4
     out = _redirect(d, {arc: w})
     strand_enters_under = Crossing(u, q, w, p, "d")  # strand under, circle over
     strand_enters_over = Crossing(q, u, p, arc, "d")  # strand over, circle under
-    return Diagram(
+    return _diagram(
         out.crossings + (strand_enters_over, strand_enters_under), out.free_loops
     )
 
@@ -752,8 +759,7 @@ def _braid_closure(word: Iterable[int], strands: int) -> Diagram:
             loops += 1  # strand met no crossing: a crossingless circle
         else:
             mapping[top] = bottom
-    d = _relabel(Diagram(tuple(crossings), loops), mapping)
-    return d
+    return _relabel(_diagram(tuple(crossings), loops), mapping)
 
 
 def torus2_diagram(m: int) -> Diagram:
@@ -779,4 +785,4 @@ def _reverse_component(d: Diagram, comp: int) -> Diagram:
         if a in arcs:
             a, b, c, d_ = c, d_, a, b  # the understrand now enters at c
         out.append(Crossing(a, b, c, d_, over_in))
-    return Diagram(tuple(out), d.free_loops)
+    return _diagram(tuple(out), d.free_loops)

@@ -23,7 +23,6 @@ from __future__ import annotations
 from .diagram import (
     Crossing,
     Diagram,
-    _require_planar,
     canonical_code,
     components,
     is_graph_connected,
@@ -116,10 +115,9 @@ def conway(d: Diagram, ctx: SkeinContext | None = None) -> IntPoly:
     """Conway polynomial of the oriented link presented by d.
 
     The empty diagram evaluates to 1 (the multiplicative unit, consistent
-    with connected sums); any split diagram evaluates to 0.  A non-planar
-    d raises PDValidationError.
+    with connected sums); any split diagram evaluates to 0.  d needs no
+    check here: a Diagram refuses non-planar crossings when it is made.
     """
-    _require_planar(d)
     if ctx is None:
         ctx = SkeinContext()
     return _conway(d, ctx)
@@ -210,7 +208,6 @@ def conway_Kn(n: int) -> IntPoly:
 
 def a2(d: Diagram, ctx: SkeinContext | None = None) -> int:
     """The z^2 coefficient of a knot diagram's Conway polynomial."""
-    _require_planar(d)
     if len(components(d)) != 1:
         raise ValueError("a2 is defined for knot diagrams only")
     return conway(d, ctx).coeff(2)
@@ -219,11 +216,7 @@ def a2(d: Diagram, ctx: SkeinContext | None = None) -> int:
 def check_skein_identity(
     d: Diagram, x: Crossing, ctx: SkeinContext | None = None
 ) -> bool:
-    """Verify nabla(L+) - nabla(L-) = z nabla(L0) at crossing x of d.
-
-    d is checked once here; the switched and smoothed diagrams inherit it.
-    """
-    _require_planar(d)
+    """Verify nabla(L+) - nabla(L-) = z nabla(L0) at crossing x of d."""
     if ctx is None:
         ctx = SkeinContext()
     switched = switch_crossing(d, x)
@@ -242,7 +235,6 @@ def check_a2_skein(
     two-component link, whose linking number the identity predicts as the
     drop in a2 under the crossing change.
     """
-    _require_planar(d_plus)
     if len(components(d_plus)) != 1:
         raise ValueError("expected a knot diagram")
     if x.sign != 1:

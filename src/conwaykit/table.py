@@ -68,8 +68,12 @@ def _parse_entries(raw: object, source: str) -> dict[str, KnotTableEntry]:
             raise TableError(f"{source}: entry {i} has an invalid name")
         if name in entries:
             raise TableError(f"{source}: duplicate entry name {name!r}")
-        if not isinstance(item["components"], int):
+        # a bool is an int to isinstance, and a JSON true is not a count
+        if item["components"].__class__ is not int:
             raise TableError(f"{source}: entry {name!r} components must be int")
+        for key in ("pd", "conway"):
+            if not isinstance(item[key], str):
+                raise TableError(f"{source}: entry {name!r} {key} must be a string")
         try:
             poly = parse_poly(item["conway"])
         except ValueError as exc:
@@ -99,9 +103,7 @@ def check_entry(
 
 
 def load_table(
-    path: str | os.PathLike | None = None,
-    validate: bool = True,
-    ctx: SkeinContext | None = None,
+    path: str | os.PathLike | None = None, validate: bool = True
 ) -> dict[str, KnotTableEntry]:
     """Load the table, keyed by entry name.
 
@@ -121,8 +123,7 @@ def load_table(
         raise TableError(f"{where}: invalid JSON: {exc}") from exc
     entries = _parse_entries(raw, str(where))
     if validate:
-        if ctx is None:
-            ctx = SkeinContext()
+        ctx = SkeinContext()
         bad = []
         for entry in entries.values():
             ok, got = check_entry(entry, ctx)

@@ -248,12 +248,12 @@ def random_diagrams(seed: int, count: int) -> list[Diagram]:
 
 # Diagrams with a strand that meets a single crossing and nothing else.  No
 # planar diagram has one (the strand's loop would cross the other strand
-# once), so the engine refuses them at the root and the smoothing has no
-# case for them.
+# once), so no Diagram can be made of them and the smoothing has no case
+# for them.
 STRAND_LOOPS = [
-    Diagram((Crossing(1, 5, 2, 5, "d"), Crossing(2, 3, 1, 3, "d"))),  # over strands
-    Diagram((Crossing(1, 2, 1, 3, "d"), Crossing(2, 4, 3, 4, "d"))),  # an under strand
-    Diagram((Crossing(1, 2, 1, 2, "b"),)),  # both strands of one crossing
+    (Crossing(1, 5, 2, 5, "d"), Crossing(2, 3, 1, 3, "d")),  # over strands
+    (Crossing(1, 2, 1, 3, "d"), Crossing(2, 4, 3, 4, "d")),  # an under strand
+    (Crossing(1, 2, 1, 2, "b"),),  # both strands of one crossing
 ]
 
 
@@ -348,10 +348,10 @@ def test_smoothing_matches_reference_at_every_crossing():
     }, shapes
 
 
-@pytest.mark.parametrize("d", STRAND_LOOPS, ids=["over", "under", "both"])
-def test_strand_loops_are_refused_as_non_planar(d):
+@pytest.mark.parametrize("xs", STRAND_LOOPS, ids=["over", "under", "both"])
+def test_strand_loops_are_refused_as_non_planar(xs):
     with pytest.raises(PDValidationError, match="not planar"):
-        conway(d)
+        Diagram(xs)
 
 
 def test_canonical_code_past_the_label_table():

@@ -8,21 +8,40 @@ invariance under R1/R2.  Random PD-like text gets a diagram or one of the
 two typed errors, never another exception.  The same laws hold on seeded
 braid closures of up to 12 crossings, where smoothing and R1/R2 splice
 longer runs of arcs.
+
+Hand-built diagrams get the same guarantee from the Diagram constructor:
+every mutant of a closure is refused with a typed error or is the diagram
+parse_pd reads from its PD text, and every public diagram function runs
+on it and makes diagrams that pass the constructor's check.
 """
 
 from __future__ import annotations
 
 import random
 
+import pytest
+
 from conwaykit.diagram import (
+    Crossing,
     Diagram,
     PDSyntaxError,
     PDValidationError,
     _braid_closure,
     _reverse_component,
+    canonical_code,
     components,
+    connected_sum,
+    disjoint_union,
+    is_graph_connected,
+    linking_number,
+    meridian_link,
     mirror,
     parse_pd,
+    pd_text,
+    reduce,
+    smooth_crossing,
+    switch_crossing,
+    writhe,
 )
 from conwaykit.skein import SkeinContext, conway
 
@@ -104,3 +123,105 @@ def test_braid_closures_up_to_12_crossings_obey_the_laws():
         xs = list(d.crossings)
         rng.shuffle(xs)  # the laws hold in any crossing order
         assert_laws(Diagram(tuple(xs), d.free_loops))
+
+
+def mutant(rng: random.Random) -> tuple[tuple[Crossing, ...], int]:
+    """A seeded closure's crossings and free loops with 0-2 mutations: a
+    label made a duplicate of another, 0 or -1, or an over_in flipped or
+    set to 'x'."""
+    strands = rng.randint(2, 4)
+    word = [
+        rng.choice([1, -1]) * rng.randint(1, strands - 1)
+        for _ in range(rng.randint(1, 8))
+    ]
+    d = _braid_closure(word, strands)
+    xs = [list(x) for x in d.crossings]
+    rng.shuffle(xs)
+    labels = sorted(d.arcs())
+    for _ in range(rng.randint(0, 2)):
+        x = rng.choice(xs)
+        kind = rng.randrange(3)
+        if kind == 0:
+            x[rng.randrange(4)] = rng.choice(labels)
+        elif kind == 1:
+            x[rng.randrange(4)] = rng.choice([0, -1])
+        else:
+            x[4] = rng.choice(["x", "b" if x[4] == "d" else "d"])
+    return tuple(Crossing(*x) for x in xs), d.free_loops
+
+
+def run_public_functions(d: Diagram, ctx: SkeinContext) -> None:
+    """Every public diagram function, with valid arguments, and conway.
+    The diagrams the moves and builders make skip the constructor's check,
+    so each is checked here."""
+    mu = len(components(d))
+    writhe(d)
+    pd_text(d)
+    canonical_code(d)
+    is_graph_connected(d)
+    r = reduce(d)
+    assert conway(r, ctx) == conway(d, ctx)
+    made = [r, disjoint_union(d, mirror(d))]
+    if mu > 1:
+        linking_number(d, 0, 1)
+    if d.crossings:
+        made += [switch_crossing(d, d.crossings[0]), smooth_crossing(d, d.crossings[0])]
+    if mu == 1:
+        arc = min(d.arcs(), default=None)
+        made.append(meridian_link(d, arc))
+        if d.crossings:
+            made.append(connected_sum(d, arc, d, arc))
+    for out in made:
+        assert Diagram(out.crossings, out.free_loops) == out
+
+
+def test_hand_built_diagrams_are_refused_or_agree_with_parse_pd():
+    rng = random.Random(5)
+    ctx = SkeinContext()
+    accepted = refused = 0
+    for _ in range(2000):
+        xs, loops = mutant(rng)
+        try:
+            d = Diagram(xs, loops)
+        except (TypeError, ValueError):  # PDValidationError is a ValueError
+            refused += 1
+            continue
+        accepted += 1
+        try:
+            assert parse_pd(pd_text(d)) == d
+        except PDValidationError as exc:
+            # a component that passes under nowhere has no direction in PD
+            assert "ambiguous" in str(exc)
+        run_public_functions(d, ctx)
+    assert accepted > 500 and refused > 500
+
+
+@pytest.mark.parametrize(
+    "crossings, free_loops, error",
+    [
+        (((1, 2, 2, 1, "d"),), 0, TypeError),  # a plain tuple
+        ((), -1, ValueError),
+        ((), True, TypeError),
+        ((), 1.5, TypeError),
+        ((Crossing(True, 2, 2, 1, "d"),), 0, TypeError),
+        ((Crossing("1", 2, 2, 1, "d"),), 0, TypeError),
+        ((Crossing(0, 2, 2, 0, "d"),), 0, PDValidationError),
+        ((Crossing(1, 2, 2, 1, "x"),), 0, TypeError),
+        ((Crossing(1, 2, 2, 3, "d"),), 0, PDValidationError),
+    ],
+)
+def test_hand_built_diagrams_with_bad_fields_are_refused(crossings, free_loops, error):
+    with pytest.raises(error):
+        Diagram(crossings, free_loops)
+
+
+def test_builders_refuse_arcs_that_are_not_int_labels():
+    # True and 1.0 are found in a set of ints, but they are no label
+    knot = parse_pd("X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)")
+    for arc in (True, 1.0):
+        with pytest.raises(ValueError, match="not present"):
+            meridian_link(knot, arc)
+        with pytest.raises(ValueError, match="not present"):
+            connected_sum(knot, arc, knot, 1)
+        with pytest.raises(ValueError, match="not present"):
+            connected_sum(knot, 1, knot, arc)

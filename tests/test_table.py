@@ -128,3 +128,23 @@ def test_bad_pd_reported_not_raised():
     ok, got = check_entry(broken)
     assert not ok
     assert "pd error" in got
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("pd", 5, "pd must be a string"),
+        ("pd", None, "pd must be a string"),
+        ("conway", 1, "conway must be a string"),
+        ("components", True, "components must be int"),
+        ("components", 1.0, "components must be int"),
+    ],
+)
+def test_entry_fields_of_wrong_type_are_table_errors(tmp_path, key, value, message):
+    def mutate(raw):
+        next(e for e in raw if e["name"] == "3_1")[key] = value
+
+    p = _write_corrupted(tmp_path, mutate)
+    for validate in (True, False):
+        with pytest.raises(TableError, match=message):
+            load_table(p, validate=validate)
