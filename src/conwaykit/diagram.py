@@ -101,10 +101,9 @@ class Diagram:
 
     crossings: tuple[Crossing, ...]
     free_loops: int
-    # Positions that hold every kink and a crossing of every R2 pair, or
-    # None when any crossing may: reduce settles its result (empty set), a
-    # search of reduce narrows it to what it could not rule out, and the
-    # moves on such a diagram add the crossings they touched.
+    # Positions of the crossings a move has touched since reduce last
+    # settled the diagram (empty set), or None if it never did; they hold
+    # every kink and a crossing of every R2 pair.
     _unsettled: frozenset[int] | None = None
 
     def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
@@ -279,8 +278,6 @@ def parse_pd(text: str) -> Diagram:
         if text[pos] != ";":
             raise PDSyntaxError(f"expected ';', found {text[pos]!r}", pos)
         pos += 1
-    if not labels and free_loops == 0:
-        raise PDSyntaxError("empty diagram", 0)
     other = _pair_slots(labels)
     over_ins = _resolve_over_directions(other)
     _check_planar(other)
@@ -536,27 +533,24 @@ def reduce(d: Diagram) -> Diagram:
     The first kink in crossing order is removed first; with no kink left,
     the lexicographically first R2 pair (i, j), i < j, goes next.
 
-    Each step searches the crossings d leaves unsettled (all of them when
-    d carries no such mark) and splices the move out with straight
-    bridges.  The next step searches only the crossings this one found in
-    a kink or an R2 pair and those the splice rebuilt; a search that finds
-    no move settles the result.
+    Each step searches, in crossing order, the positions of the crossings
+    a move has touched since reduce last settled d (all of them when it
+    never did); they hold every kink and a crossing of every R2 pair, so
+    the first kink met ends the search.  The move is spliced out with
+    straight bridges, and a search that finds no move settles the result.
     """
     while True:
         xs = d.crossings
         index = d._arc_index
         end, start = index.end, index.start
-        kink = move = None
-        left = []  # the searched crossings that are kinks or have R2 partners
+        move = None
         for i in range(len(xs)) if d._unsettled is None else sorted(d._unsettled):
             a, b, c, d_, over_in = xs[i]
             oi, oo = (d_, b) if over_in == "d" else (b, d_)
             if a == oo or c == oi:
                 # a kink shares one arc between its over and under passes
-                left.append(i)
-                if kink is None:
-                    kink = i
-                continue
+                move = (i,)
+                break
             # an R2 partner j has the other sign and is joined to i by an
             # under arc and an over arc: u is the under pass of j = u >> 1,
             # and u - 1 the over pass of j
@@ -564,13 +558,10 @@ def reduce(d: Diagram) -> Diagram:
                 if u & 1 and (u - 1 == end[oo] or u - 1 == start[oi]):
                     j = u >> 1
                     if xs[j][4] != over_in:
-                        left.append(i)
                         found = (i, j) if i < j else (j, i)
                         if move is None or found < move:
                             move = found
-        if kink is not None:
-            move = (kink,)
-        elif move is None:
+        if move is None:
             d.__dict__["_unsettled"] = frozenset()
             return d
         bridges = {}
@@ -581,8 +572,6 @@ def reduce(d: Diagram) -> Diagram:
                 bridges[d_] = b
             else:
                 bridges[b] = d_
-        # left holds every kink of d and a crossing of every R2 pair
-        d.__dict__["_unsettled"] = frozenset(left)
         d = _splice(d, move, bridges)
 
 

@@ -243,8 +243,6 @@ def parse_poly(text: str) -> IntPoly:
             found = s[i] if i < len(s) else "end of input"
             raise PolySyntaxError(f"expected a term, found {found!r}", i)
         digits, zpart, exponent = m.group(1), m.group(2), m.group(3)
-        if digits is None and zpart is None:
-            raise PolySyntaxError("expected a term", i)
         coeff = sign * (int(digits) if digits is not None else 1)
         if zpart is None:
             power = 0
@@ -255,7 +253,5 @@ def parse_poly(text: str) -> IntPoly:
         coeffs[power] = coeffs.get(power, 0) + coeff
         i = m.end()
         first = False
-    if not coeffs:
-        raise PolySyntaxError("empty polynomial", 0)
     top = max(coeffs)
     return IntPoly([coeffs.get(k, 0) for k in range(top + 1)])

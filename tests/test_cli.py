@@ -181,6 +181,15 @@ def test_verify_text(capsys, small_verify):
     assert len(lines) >= 21
 
 
+def test_verify_verbose_counts_checks_on_stderr(capsys, small_verify):
+    code, out, err = run(
+        capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2", "--verbose"
+    )
+    assert code == 0
+    assert out.strip().splitlines()[-1] == "ALL CHECKS PASSED"
+    assert err.strip().splitlines()[-1] == "35 checks, 0 failed"
+
+
 def test_verify_json(capsys, small_verify):
     code, out, _ = run(
         capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2",

@@ -268,6 +268,16 @@ def test_reduce_kink_on_larger_diagram():
     assert len(components(r)) == 1
 
 
+def test_reduce_marks_only_the_diagram_it_settles():
+    # moves add the crossings they touch; reduce leaves its input as it was
+    # and marks only its result as settled
+    d = _braid_closure([1, -2, -1, 2, 1], 3)
+    r = reduce(d)
+    assert (len(d.crossings), len(r.crossings)) == (5, 2)
+    assert d._unsettled is None
+    assert r._unsettled == frozenset()
+
+
 def test_pickle_and_copies_carry_only_the_fields():
     # the cached arc index and the reduction marks stay behind
     fresh = len(pickle.dumps(torus2_diagram(100)))
