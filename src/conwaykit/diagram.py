@@ -151,52 +151,27 @@ class Diagram:
         return f"Diagram(crossings={self.crossings!r}, free_loops={self.free_loops!r})"
 
     def __reduce__(self):
-        # pickles and copies carry the two fields, not the cached index
+        # pickles and copies carry the two fields, not the cached arc data
         # or the reduction marks; a copy of a valid diagram is valid
         return (_diagram, (self.crossings, self.free_loops))
 
     def arcs(self) -> set[int]:
-        out: set[int] = set()
-        for x in self.crossings:
-            out.update(x.slots())
-        return out
+        return set(self._passes[2])
 
+    # the arc data below are computed on first use: a diagram never
+    # changes, so each serves every step on it
     @_cached
-    def _arc_index(self) -> _ArcIndex:
-        # a diagram never changes, so one index serves every step on it
-        return _ArcIndex(self.crossings)
-
-
-def _diagram(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
-    """A Diagram without the check, for crossings known to be valid."""
-    d = object.__new__(Diagram)
-    d.__dict__.update(crossings=crossings, free_loops=free_loops)
-    return d
-
-
-# memo keys print arc positions from these: "%s" of a str is several times
-# cheaper than "%d" of an int (diagrams past 128 crossings make their own)
-_LABELS = tuple(map(str, range(1, 257)))
-
-
-class _ArcIndex:
-    """Where each arc of a diagram starts and ends.
-
-    end[arc] and start[arc] name the pass the arc arrives at and leaves
-    from: 2*i + 1 for the understrand of crossing i, 2*i for its
-    overstrand.  Both dicts are in pass order, so list(end)[p] is the arc
-    into pass p and list(start)[p] the arc out of it.  succ[arc] is the
-    arc after arc.  The component walk (cycles), the positions along it
-    (names) and the arc -> component map (owner) are computed on first use.
-    """
-
-    def __init__(self, crossings: tuple[Crossing, ...]):
-        self.end: dict[int, int] = {}
-        self.start: dict[int, int] = {}
-        self.succ: dict[int, int] = {}
-        end, start, succ = self.end, self.start, self.succ
+    def _passes(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
+        """(end, start, succ): end[arc] and start[arc] name the pass the arc
+        arrives at and leaves from, 2*i + 1 for the understrand of crossing
+        i and 2*i for its overstrand.  Both dicts are in pass order, so
+        list(end)[p] is the arc into pass p and list(start)[p] the arc out
+        of it.  succ[arc] is the arc after arc."""
+        end: dict[int, int] = {}
+        start: dict[int, int] = {}
+        succ: dict[int, int] = {}
         pass_code = 0
-        for a, b, c, d, over_in in crossings:
+        for a, b, c, d, over_in in self.crossings:
             if over_in == "d":
                 b, d = d, b
             # b, d = over-in, over-out; the over pass goes in first
@@ -205,11 +180,12 @@ class _ArcIndex:
             succ[a] = c
             succ[b] = d
             pass_code += 2
+        return end, start, succ
 
     @_cached
-    def cycles(self) -> tuple[tuple[int, ...], ...]:
+    def _cycles(self) -> tuple[tuple[int, ...], ...]:
         """Arc cycles ordered by minimal arc, each from its minimal arc."""
-        succ = self.succ
+        succ = self._passes[2]
         cycles: list[tuple[int, ...]] = []
         left = len(succ)
         rest = None
@@ -232,16 +208,28 @@ class _ArcIndex:
         return tuple(cycles)
 
     @_cached
-    def names(self) -> dict[int, str]:
+    def _names(self) -> dict[int, str]:
         """Arc -> its position from 1 along the cycles, as text, in walk order."""
-        n = len(self.succ)
+        n = len(self._passes[2])
         labels = _LABELS if n <= len(_LABELS) else map(str, range(1, n + 1))
-        return dict(zip(chain.from_iterable(self.cycles), labels))
+        return dict(zip(chain.from_iterable(self._cycles), labels))
 
     @_cached
-    def owner(self) -> dict[int, int]:
-        """Arc -> index of its component in cycles."""
-        return {arc: k for k, cycle in enumerate(self.cycles) for arc in cycle}
+    def _owner(self) -> dict[int, int]:
+        """Arc -> index of its component in _cycles."""
+        return {arc: k for k, cycle in enumerate(self._cycles) for arc in cycle}
+
+
+def _diagram(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
+    """A Diagram without the check, for crossings known to be valid."""
+    d = object.__new__(Diagram)
+    d.__dict__.update(crossings=crossings, free_loops=free_loops)
+    return d
+
+
+# memo keys print arc positions from these: "%s" of a str is several times
+# cheaper than "%d" of an int (diagrams past 128 crossings make their own)
+_LABELS = tuple(map(str, range(1, 257)))
 
 
 UNKNOT = _diagram((), 1)
@@ -257,8 +245,7 @@ def parse_pd(text: str) -> Diagram:
 
     Raises PDSyntaxError for malformed text and PDValidationError when the
     arc structure is inconsistent (an arc not used exactly twice, succession
-    not a bijection, an overstrand whose direction cannot be resolved, or
-    crossings that do not lie in the plane).
+    not a bijection, or crossings that do not lie in the plane).
     """
     labels: list[int] = []  # a, b, c, d of each crossing in turn
     free_loops = 0
@@ -317,12 +304,18 @@ def _resolve_over_directions(other: list[int]) -> list[str]:
     at other[s ^ 2].  One walk of each component, from one of its under
     passes entering at a, sets every over_in it meets; entering an under
     pass at c means two passes share an arc end, so succession is not a
-    bijection.  A component that passes under nowhere is ambiguous.
+    bijection.  A component that passes under nowhere is then walked in
+    from slot b of a crossing still without a direction: it lies over all
+    it meets and crosses nothing of its own, so either direction gives the
+    same writhe, linking numbers and Conway polynomial (0, it lifts off).
     """
     over_in: list[str | None] = [None] * (len(other) >> 2)
     entered = bytearray(len(other))
-    for start in range(0, len(other), 4):
+    # the under passes first: a b start is walked only if still undecided
+    for start in chain(range(0, len(other), 4), range(1, len(other), 4)):
         s = start
+        if s & 1 and over_in[s >> 2]:
+            continue
         while not entered[s]:
             entered[s] = 1
             if s & 3 == 2:
@@ -332,11 +325,6 @@ def _resolve_over_directions(other: list[int]) -> list[str]:
             if s & 1:
                 over_in[s >> 2] = "b" if s & 3 == 1 else "d"
             s = other[s ^ 2]
-    if None in over_in:
-        raise PDValidationError(
-            "overstrand direction is ambiguous at crossing(s) "
-            + ", ".join(str(i + 1) for i, o in enumerate(over_in) if o is None)
-        )
     return over_in  # type: ignore[return-value]
 
 
@@ -388,7 +376,7 @@ def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     Free loops contribute empty trailing cycles, so len(components(d)) is the
     component count of the link.
     """
-    return d._arc_index.cycles + ((),) * d.free_loops
+    return d._cycles + ((),) * d.free_loops
 
 
 def writhe(d: Diagram) -> int:
@@ -408,7 +396,7 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
         raise ValueError(f"component index out of range (diagram has {n})")
     if c1 == c2:
         raise ValueError("linking number needs two distinct components")
-    owner = d._arc_index.owner
+    owner = d._owner
     total = 0
     wanted = {c1, c2}
     for x in d.crossings:
@@ -464,8 +452,7 @@ def _splice(d: Diagram, gone: tuple[int, ...], bridges: dict[int, int]) -> Diagr
     rebuilt crossings are the only ones that can gain a kink or an R2
     partner, so they join the crossings d left unsettled.
     """
-    index = d._arc_index
-    start, end = index.start, index.end
+    end, start, _ = d._passes
     mapping: dict[int, int] = {}
     ends = set()  # positions of the crossings at the ends of the runs
     nexts = bridges.values()
@@ -541,8 +528,7 @@ def reduce(d: Diagram) -> Diagram:
     """
     while True:
         xs = d.crossings
-        index = d._arc_index
-        end, start = index.end, index.start
+        end, start, _ = d._passes
         move = None
         for i in range(len(xs)) if d._unsettled is None else sorted(d._unsettled):
             a, b, c, d_, over_in = xs[i]
@@ -588,11 +574,10 @@ def is_graph_connected(d: Diagram) -> bool:
         return pieces <= 1
     if pieces:
         return False
-    index = d._arc_index
-    joins = len(index.cycles) - 1
+    joins = len(d._cycles) - 1
     if not joins:
         return True
-    owner = index.owner
+    owner = d._owner
     piece = list(range(joins + 1))  # component -> piece label
     # b is on the overstrand whichever way it runs
     for a, b, _, _, _ in d.crossings:
@@ -631,11 +616,10 @@ def canonical_code(d: Diagram) -> str:
     the first arc of the cycle when the over-in arc is its last.  Both
     readings fit only on a two-arc cycle; an under pass on it fixes the
     direction, and a cycle with no under pass lifts off the rest, so either
-    reading is split and worth 0.  parse_pd refuses as ambiguous a code with
-    a component that passes under nowhere.
+    reading is split and worth 0.  parse_pd gives a component that passes
+    under nowhere the direction that enters its first crossing at b.
     """
-    index = d._arc_index
-    names, end, xs = index.names, index.end, d.crossings
+    names, end, xs = d._names, d._passes[0], d.crossings
     # crossings differ in their relabelled first field, so the sorted order
     # is the walk order of their under-in arcs
     rows = []
@@ -645,6 +629,31 @@ def canonical_code(d: Diagram) -> str:
             _, b, c, d_, _ = xs[e >> 1]
             rows.append("X(%s,%s,%s,%s)" % (name, names[b], names[c], names[d_]))
     return ";".join(rows + ["O"] * d.free_loops)
+
+
+def _first_visit_scan(d: Diagram) -> tuple[int | None, int]:
+    """Locate under-first crossings along the canonical traversal.
+
+    Returns (index of the first crossing reached on its understrand or
+    None, total count of such crossings).  Components are walked in
+    ascending order of minimal arc label, each starting from its minimal
+    arc; a crossing is classified by the strand of its first visit.
+    """
+    end = d._passes[0]
+    seen = bytearray(len(d.crossings))
+    first_bad: int | None = None
+    bad = 0
+    for arc in d._names:
+        e = end[arc]
+        i = e >> 1
+        if seen[i]:
+            continue
+        seen[i] = 1
+        if e & 1:
+            bad += 1
+            if first_bad is None:
+                first_bad = i
+    return first_bad, bad
 
 
 # -- constructions ------------------------------------------------------------
@@ -659,7 +668,7 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
 
 def _redirect(d: Diagram, ends: dict[int, int]) -> Diagram:
     """d with ends[arc] in the slot where each arc of ends arrives."""
-    end = d._arc_index.end
+    end = d._passes[0]
     xs = list(d.crossings)
     for arc, new_arc in ends.items():
         p = end[arc]  # the pass arc arrives at: 2*i + 1 under, 2*i over

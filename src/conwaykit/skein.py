@@ -23,6 +23,7 @@ from __future__ import annotations
 from .diagram import (
     Crossing,
     Diagram,
+    _first_visit_scan,
     canonical_code,
     components,
     is_graph_connected,
@@ -85,32 +86,6 @@ class SkeinContext:
         return f"SkeinContext({fields})"
 
 
-def _first_visit_scan(d: Diagram) -> tuple[int | None, int]:
-    """Locate under-first crossings along the canonical traversal.
-
-    Returns (index of the first crossing reached on its understrand or
-    None, total count of such crossings).  Components are walked in
-    ascending order of minimal arc label, each starting from its minimal
-    arc; a crossing is classified by the strand of its first visit.
-    """
-    index = d._arc_index
-    end = index.end
-    seen = bytearray(len(d.crossings))
-    first_bad: int | None = None
-    bad = 0
-    for arc in index.names:
-        e = end[arc]
-        i = e >> 1
-        if seen[i]:
-            continue
-        seen[i] = 1
-        if e & 1:
-            bad += 1
-            if first_bad is None:
-                first_bad = i
-    return first_bad, bad
-
-
 def conway(d: Diagram, ctx: SkeinContext | None = None) -> IntPoly:
     """Conway polynomial of the oriented link presented by d.
 
@@ -131,7 +106,7 @@ def _conway(d: Diagram, ctx: SkeinContext) -> IntPoly:
     # `suspended` as (pending, switched diagram, measure, key, sign) and
     # resumes at the switched diagram once the value is known.  Holding the
     # switched diagram rather than the current one lets the current one's
-    # arc index be freed while the smoothing is computed.
+    # cached arc data be freed while the smoothing is computed.
     suspended: list[tuple[list, Diagram, tuple[int, int], str, int]] = []
     pending: list[tuple[str, int, IntPoly]] = []
     current = d
@@ -169,7 +144,7 @@ def _conway(d: Diagram, ctx: SkeinContext) -> IntPoly:
                     suspended.append((pending, switched, measure, key, x.sign))
                     pending, current, prev_measure = [], smooth_crossing(current, x), None
                     continue
-                value = _ONE if len(current._arc_index.cycles) == 1 else _ZERO
+                value = _ONE if len(current._cycles) == 1 else _ZERO
                 memo[key] = value
         for key, s, term in reversed(pending):
             value = value + term if s > 0 else value - term

@@ -13,6 +13,10 @@ Hand-built diagrams get the same guarantee from the Diagram constructor:
 every mutant of a closure is refused with a typed error or is the diagram
 parse_pd reads from its PD text, and every public diagram function runs
 on it and makes diagrams that pass the constructor's check.
+
+Every diagram the package makes prints a PD code that parses back to it,
+up to the direction of a component that passes under nowhere: no PD code
+records that direction, and both give the same invariants.
 """
 
 from __future__ import annotations
@@ -41,9 +45,12 @@ from conwaykit.diagram import (
     reduce,
     smooth_crossing,
     switch_crossing,
+    torus2_diagram,
     writhe,
 )
+from conwaykit.poly import IntPoly
 from conwaykit.skein import SkeinContext, conway
+from conwaykit.table import load_table
 
 
 def random_codes(rng: random.Random, count: int) -> list[str]:
@@ -175,6 +182,62 @@ def run_public_functions(d: Diagram, ctx: SkeinContext) -> None:
         assert Diagram(out.crossings, out.free_loops) == out
 
 
+def assert_round_trip(d: Diagram, ctx: SkeinContext) -> bool:
+    """parse_pd(pd_text(d)) is d, but for the direction of each component
+    that passes under nowhere, and has d's invariants; True when d has
+    such a component."""
+    back = parse_pd(pd_text(d))
+    unders = {x.a for x in d.crossings}
+    over_only = [set(c) for c in components(d) if c and unders.isdisjoint(c)]
+    # such a component lies over all it meets, so turning it round flips
+    # over_in at each of its crossings and changes nothing else
+    turned = set()
+    for arcs in over_only:
+        if any(x.b in arcs and x != y for x, y in zip(d.crossings, back.crossings)):
+            turned |= arcs
+    flip = {"b": "d", "d": "b"}
+    want = [
+        x._replace(over_in=flip[x.over_in]) if x.b in turned else x
+        for x in d.crossings
+    ]
+    assert back == Diagram(tuple(want), d.free_loops)
+    if not over_only:
+        return False
+    assert conway(back, ctx) == conway(d, ctx) == IntPoly()
+    assert writhe(back) == writhe(d)
+    mu = len(components(d))
+    for i in range(mu):
+        for j in range(i + 1, mu):
+            assert linking_number(back, i, j) == linking_number(d, i, j)
+    return True
+
+
+def test_every_diagram_the_package_makes_parses_back():
+    rng = random.Random(13)
+    ctx = SkeinContext()
+    table = load_table(validate=False).values()
+    knots = [e.diagram() for e in table if e.components == 1]
+    tied = [k for k in knots if k.crossings]
+    made = [torus2_diagram(m) for m in range(1, 10)]
+    made += [meridian_link(k) for k in knots]
+    made += [
+        connected_sum(k, min(k.arcs()), h, min(h.arcs())) for k in tied for h in tied
+    ]
+    made.append(_braid_closure([-1, 1], 2))
+    for _ in range(300):
+        strands = rng.randint(2, 4)
+        word = [
+            rng.choice([1, -1]) * rng.randint(1, strands - 1)
+            for _ in range(rng.randint(1, 12))
+        ]
+        made.append(_braid_closure(word, strands))
+    over_only = 0
+    for d in made:
+        for e in (d, mirror(d), reduce(d)):
+            over_only += assert_round_trip(e, ctx)
+    assert over_only > 10, over_only
+
+
 def test_hand_built_diagrams_are_refused_or_agree_with_parse_pd():
     rng = random.Random(5)
     ctx = SkeinContext()
@@ -187,11 +250,7 @@ def test_hand_built_diagrams_are_refused_or_agree_with_parse_pd():
             refused += 1
             continue
         accepted += 1
-        try:
-            assert parse_pd(pd_text(d)) == d
-        except PDValidationError as exc:
-            # a component that passes under nowhere has no direction in PD
-            assert "ambiguous" in str(exc)
+        assert_round_trip(d, ctx)
         run_public_functions(d, ctx)
     assert accepted > 500 and refused > 500
 
