@@ -41,7 +41,8 @@ class PDSyntaxError(ValueError):
 
 
 class PDValidationError(ValueError):
-    """Structurally invalid diagram (bad arc multiplicities or succession)."""
+    """Structurally invalid diagram (bad arc multiplicities or succession,
+    or crossings that do not lie in the plane)."""
 
 
 class _cached:
@@ -95,8 +96,9 @@ class Diagram:
     Immutable and hashable; equal only to another Diagram.  The constructor
     refuses all but a planar diagram: free_loops an int >= 0, Crossings
     with over_in 'b' or 'd' and positive int labels, each label used twice
-    and no arc arriving at two passes.  The parser, the moves and the
-    builders make valid diagrams from valid ones and skip the check.
+    and no arc arriving at two passes.  It is the one check: parse_pd
+    builds through it, and the moves and the builders make valid diagrams
+    from valid ones and skip it.
     """
 
     crossings: tuple[Crossing, ...]
@@ -241,11 +243,12 @@ _ITEM = re.compile(r"\s*(O|X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\))
 
 
 def parse_pd(text: str) -> Diagram:
-    """Parse PD text, resolve overstrand directions, and validate.
+    """Parse PD text, resolve overstrand directions, and build the Diagram.
 
-    Raises PDSyntaxError for malformed text and PDValidationError when the
-    arc structure is inconsistent (an arc not used exactly twice, succession
-    not a bijection, or crossings that do not lie in the plane).
+    Raises PDSyntaxError for malformed text.  The Diagram constructor
+    raises PDValidationError when the arc structure is inconsistent (an
+    arc not used exactly twice, succession not a bijection, or crossings
+    that do not lie in the plane).
     """
     labels: list[int] = []  # a, b, c, d of each crossing in turn
     free_loops = 0
@@ -265,12 +268,10 @@ def parse_pd(text: str) -> Diagram:
         if text[pos] != ";":
             raise PDSyntaxError(f"expected ';', found {text[pos]!r}", pos)
         pos += 1
-    other = _pair_slots(labels)
-    over_ins = _resolve_over_directions(other)
-    _check_planar(other)
+    over_ins = _resolve_over_directions(_pair_slots(labels))
     fields = iter(labels)
     crossings = tuple(map(_crossing, zip(fields, fields, fields, fields, over_ins)))
-    return _diagram(crossings, free_loops)
+    return Diagram(crossings, free_loops)
 
 
 def _pair_slots(labels: list[int]) -> list[int]:
@@ -302,12 +303,13 @@ def _resolve_over_directions(other: list[int]) -> list[str]:
 
     A strand entering at slot s leaves at s ^ 2 and enters the next crossing
     at other[s ^ 2].  One walk of each component, from one of its under
-    passes entering at a, sets every over_in it meets; entering an under
-    pass at c means two passes share an arc end, so succession is not a
-    bijection.  A component that passes under nowhere is then walked in
-    from slot b of a crossing still without a direction: it lies over all
-    it meets and crosses nothing of its own, so either direction gives the
-    same writhe, linking numbers and Conway polynomial (0, it lifts off).
+    passes entering at a, sets every over_in it meets.  A component that
+    passes under nowhere is then walked in from slot b of a crossing still
+    without a direction: it lies over all it meets and crosses nothing of
+    its own, so either direction gives the same writhe, linking numbers and
+    Conway polynomial (0, it lifts off).  Nothing is refused here: a walk
+    that enters an under pass at c means two passes share an arc end, and
+    the Diagram constructor refuses that with every choice of directions.
     """
     over_in: list[str | None] = [None] * (len(other) >> 2)
     entered = bytearray(len(other))
@@ -318,10 +320,6 @@ def _resolve_over_directions(other: list[int]) -> list[str]:
             continue
         while not entered[s]:
             entered[s] = 1
-            if s & 3 == 2:
-                raise PDValidationError(
-                    f"arc succession is not a bijection at crossing {(s >> 2) + 1}"
-                )
             if s & 1:
                 over_in[s >> 2] = "b" if s & 3 == 1 else "d"
             s = other[s ^ 2]

@@ -9,7 +9,8 @@ two typed errors, never another exception.  The same laws hold on seeded
 braid closures of up to 12 crossings, where smoothing and R1/R2 splice
 longer runs of arcs.
 
-Hand-built diagrams get the same guarantee from the Diagram constructor:
+parse_pd builds through the Diagram constructor, so its refusals are the
+constructor's.  Hand-built diagrams get the same guarantee from it:
 every mutant of a closure is refused with a typed error or is the diagram
 parse_pd reads from its PD text, and every public diagram function runs
 on it and makes diagrams that pass the constructor's check.
@@ -88,6 +89,27 @@ def test_every_accepted_label_assignment_obeys_the_laws():
         accepted += 1
         assert_laws(d)
     assert accepted > 300
+
+
+# the four PDValidationError messages of the Diagram constructor
+CONSTRUCTOR_REFUSALS = (
+    "each arc label must occur exactly twice",
+    "arc labels must be positive",
+    "arc succession is not a bijection: an arc arrives at two passes",
+    "the PD code is not planar",
+)
+
+
+def test_parse_refusals_are_the_constructors_refusals():
+    with pytest.raises(PDValidationError, match="an arc arrives at two passes"):
+        parse_pd("X(1,3,2,4);X(1,4,2,3)")
+    for text in random_codes(random.Random(4), 2000):
+        try:
+            d = parse_pd(text)
+        except PDValidationError as e:
+            assert str(e).startswith(CONSTRUCTOR_REFUSALS), (text, str(e))
+            continue
+        assert Diagram(d.crossings, d.free_loops) == d
 
 
 def test_random_text_gets_a_diagram_or_a_typed_error():
