@@ -103,10 +103,6 @@ class Diagram:
 
     crossings: tuple[Crossing, ...]
     free_loops: int
-    # Positions of the crossings a move has touched since reduce last
-    # settled the diagram (empty set), or None if it never did; they hold
-    # every kink and a crossing of every R2 pair.
-    _unsettled: frozenset[int] | None = None
 
     def __init__(self, crossings: tuple[Crossing, ...] = (), free_loops: int = 0):
         if free_loops.__class__ is not int:
@@ -160,15 +156,13 @@ class Diagram:
     def arcs(self) -> set[int]:
         return set(self._passes[2])
 
-    # the arc data below are computed on first use: a diagram never
-    # changes, so each serves every step on it
+    # the arc data and the reduction mark below are computed on first use;
+    # a diagram never changes, so its arc data serve every step on it
     @_cached
     def _passes(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
         """(end, start, succ): end[arc] and start[arc] name the pass the arc
         arrives at and leaves from, 2*i + 1 for the understrand of crossing
-        i and 2*i for its overstrand.  Both dicts are in pass order, so
-        list(end)[p] is the arc into pass p and list(start)[p] the arc out
-        of it.  succ[arc] is the arc after arc."""
+        i and 2*i for its overstrand.  succ[arc] is the arc after arc."""
         end: dict[int, int] = {}
         start: dict[int, int] = {}
         succ: dict[int, int] = {}
@@ -210,16 +204,17 @@ class Diagram:
         return tuple(cycles)
 
     @_cached
-    def _names(self) -> dict[int, str]:
-        """Arc -> its position from 1 along the cycles, as text, in walk order."""
-        n = len(self._passes[2])
-        labels = _LABELS if n <= len(_LABELS) else map(str, range(1, n + 1))
-        return dict(zip(chain.from_iterable(self._cycles), labels))
-
-    @_cached
     def _owner(self) -> dict[int, int]:
         """Arc -> index of its component in _cycles."""
         return {arc: k for k, cycle in enumerate(self._cycles) for arc in cycle}
+
+    @_cached
+    def _unsettled(self) -> frozenset[int]:
+        """Positions of the crossings a move has touched since reduce last
+        settled the diagram (the empty set then); they hold every kink and a
+        crossing of every R2 pair.  A diagram no move has touched has every
+        crossing marked."""
+        return frozenset(range(len(self.crossings)))
 
 
 def _diagram(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
@@ -427,9 +422,8 @@ def switch_crossing(d: Diagram, x: Crossing) -> Diagram:
     i = _crossing_index(d, x)
     y = _switched(x)
     out = _diagram(d.crossings[:i] + (y,) + d.crossings[i + 1 :], d.free_loops)
-    if d._unsettled is not None:
-        # a switch keeps every kink status; new R2 pairs all contain i
-        out.__dict__["_unsettled"] = d._unsettled | {i}
+    # a switch keeps every kink status; new R2 pairs all contain i
+    out.__dict__["_unsettled"] = d._unsettled | {i}
     return out
 
 
@@ -485,10 +479,9 @@ def _splice(d: Diagram, gone: tuple[int, ...], bridges: dict[int, int]) -> Diagr
     # 512 bytes leaves pymalloc and ratchets peak RSS on long diagrams;
     # tuple(<list>) allocates once
     out = _diagram(tuple(kept), loops)
-    if d._unsettled is not None:
-        ends.update(d._unsettled)
-        ends.difference_update(gone)
-        out.__dict__["_unsettled"] = frozenset([j - bisect(gone, j) for j in ends])
+    ends.update(d._unsettled)
+    ends.difference_update(gone)
+    out.__dict__["_unsettled"] = frozenset([j - bisect(gone, j) for j in ends])
     return out
 
 
@@ -519,8 +512,8 @@ def reduce(d: Diagram) -> Diagram:
     the lexicographically first R2 pair (i, j), i < j, goes next.
 
     Each step searches, in crossing order, the positions of the crossings
-    a move has touched since reduce last settled d (all of them when it
-    never did); they hold every kink and a crossing of every R2 pair, so
+    a move has touched since reduce last settled d (every crossing if no
+    move has); they hold every kink and a crossing of every R2 pair, so
     the first kink met ends the search.  The move is spliced out with
     straight bridges, and a search that finds no move settles the result.
     """
@@ -528,7 +521,7 @@ def reduce(d: Diagram) -> Diagram:
         xs = d.crossings
         end, start, _ = d._passes
         move = None
-        for i in range(len(xs)) if d._unsettled is None else sorted(d._unsettled):
+        for i in sorted(d._unsettled):
             a, b, c, d_, over_in = xs[i]
             oi, oo = (d_, b) if over_in == "d" else (b, d_)
             if a == oo or c == oi:
@@ -551,11 +544,8 @@ def reduce(d: Diagram) -> Diagram:
         bridges = {}
         for i in move:
             a, b, c, d_, over_in = xs[i]
-            bridges[a] = c
-            if over_in == "d":
-                bridges[d_] = b
-            else:
-                bridges[b] = d_
+            oi, oo = (d_, b) if over_in == "d" else (b, d_)
+            bridges[a], bridges[oi] = c, oo
         d = _splice(d, move, bridges)
 
 
@@ -617,7 +607,11 @@ def canonical_code(d: Diagram) -> str:
     reading is split and worth 0.  parse_pd gives a component that passes
     under nowhere the direction that enters its first crossing at b.
     """
-    names, end, xs = d._names, d._passes[0], d.crossings
+    end, xs = d._passes[0], d.crossings
+    n = len(end)
+    labels = _LABELS if n <= len(_LABELS) else map(str, range(1, n + 1))
+    # arc -> its position from 1 along the cycles, as text, in walk order
+    names = dict(zip(chain.from_iterable(d._cycles), labels))
     # crossings differ in their relabelled first field, so the sorted order
     # is the walk order of their under-in arcs
     rows = []
@@ -641,7 +635,7 @@ def _first_visit_scan(d: Diagram) -> tuple[int | None, int]:
     seen = bytearray(len(d.crossings))
     first_bad: int | None = None
     bad = 0
-    for arc in d._names:
+    for arc in chain.from_iterable(d._cycles):
         e = end[arc]
         i = e >> 1
         if seen[i]:

@@ -84,6 +84,8 @@ class IntPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: IntPoly) -> IntPoly:
+        if other.__class__ is not IntPoly:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -96,13 +98,17 @@ class IntPoly:
         return _exact([-c for c in self.coeffs])
 
     def __sub__(self, other: IntPoly) -> IntPoly:
+        if other.__class__ is not IntPoly:
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         out = list(a) + [0] * (len(b) - len(a))
         for i, c in enumerate(b):
             out[i] -= c
         return _exact(out)
 
-    def __mul__(self, other: IntPoly) -> IntPoly:
+    def __mul__(self, other: IntPoly | int) -> IntPoly:
+        if other.__class__ is not IntPoly:
+            return self.__rmul__(other)  # p * 3 == 3 * p
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return IntPoly()
@@ -144,15 +150,8 @@ class IntPoly:
 
     def parity(self) -> str:
         """Which powers carry nonzero coefficients: even, odd, mixed or zero."""
-        has_even = any(c for c in self.coeffs[0::2])
-        has_odd = any(c for c in self.coeffs[1::2])
-        if has_even and has_odd:
-            return "mixed"
-        if has_even:
-            return "even"
-        if has_odd:
-            return "odd"
-        return "zero"
+        even, odd = any(self.coeffs[0::2]), any(self.coeffs[1::2])
+        return "mixed" if even and odd else "even" if even else "odd" if odd else "zero"
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """Yield (exponent, coefficient) for nonzero terms, ascending."""

@@ -283,8 +283,17 @@ def test_reduce_marks_only_the_diagram_it_settles():
     d = _braid_closure([1, -2, -1, 2, 1], 3)
     r = reduce(d)
     assert (len(d.crossings), len(r.crossings)) == (5, 2)
-    assert d._unsettled is None
+    assert d._unsettled == frozenset(range(5))
     assert r._unsettled == frozenset()
+
+
+def test_a_diagram_no_move_touched_hands_a_full_mark_to_its_children():
+    # every crossing of an untouched diagram is marked, and a switch or a
+    # smoothing carries the whole mark
+    d = torus2_diagram(5)
+    x = d.crossings[2]
+    assert switch_crossing(d, x)._unsettled == frozenset(range(5))
+    assert smooth_crossing(d, x)._unsettled == frozenset(range(4))
 
 
 def test_pickle_and_copies_carry_only_the_fields():

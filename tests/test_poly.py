@@ -145,6 +145,23 @@ def test_scalar_multiplication():
     assert 0 * P("1+z^2") == IntPoly.zero()
 
 
+def test_arithmetic_with_non_polynomials():
+    # an int scales from either side; anything else is a TypeError
+    p = P("1+z^2")
+    assert p * 3 == 3 * p == P("3+3z^2")
+    for apply in (
+        lambda: p + 1,
+        lambda: 1 + p,
+        lambda: p - 1,
+        lambda: 1 - p,
+        lambda: p * 2.5,
+        lambda: 2.5 * p,
+        lambda: p * "z",
+    ):
+        with pytest.raises(TypeError):
+            apply()
+
+
 # -- text form ---------------------------------------------------------------
 
 

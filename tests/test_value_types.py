@@ -120,7 +120,7 @@ def test_skein_context_fields_are_writable():
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trips(protocol):
     d = values()["Diagram"]
-    d._names  # cached arc data must not get in the way
+    d._cycles  # cached arc data must not get in the way
     for name, value in dict(values(), Diagram=d).items():
         back = pickle.loads(pickle.dumps(value, protocol))
         assert back == value and repr(back) == repr(value), name
