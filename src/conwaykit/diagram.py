@@ -121,15 +121,14 @@ class Diagram:
         if bad:
             raise TypeError(f"arc labels must be ints, found {bad[0]!r}")
         other = _pair_slots(labels)
+        self.__dict__.update(crossings=crossings, free_loops=free_loops)
         # with each label twice, succession is a bijection when no arc
-        # arrives at two passes
-        ins = {v for x in crossings for v in (x[0], x[1 if x[4] == "b" else 3])}
-        if 2 * len(ins) != len(labels):
+        # arrives at two passes, that is when every arc has its own end
+        if 2 * len(self._passes[0]) != len(labels):
             raise PDValidationError(
                 "arc succession is not a bijection: an arc arrives at two passes"
             )
         _check_planar(other)
-        self.__dict__.update(crossings=crossings, free_loops=free_loops)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -154,18 +153,19 @@ class Diagram:
         return (_diagram, (self.crossings, self.free_loops))
 
     def arcs(self) -> set[int]:
-        return set(self._passes[2])
+        return set(self._passes[0])
 
     # the arc data and the reduction mark below are computed on first use;
     # a diagram never changes, so its arc data serve every step on it
     @_cached
-    def _passes(self) -> tuple[dict[int, int], dict[int, int], dict[int, int]]:
-        """(end, start, succ): end[arc] and start[arc] name the pass the arc
+    def _passes(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(end, start): end[arc] and start[arc] name the pass the arc
         arrives at and leaves from, 2*i + 1 for the understrand of crossing
-        i and 2*i for its overstrand.  succ[arc] is the arc after arc."""
+        i and 2*i for its overstrand.  In a valid diagram each arc leaves
+        one pass, so start holds its arcs in pass order and
+        list(start)[end[arc]] is the arc after arc."""
         end: dict[int, int] = {}
         start: dict[int, int] = {}
-        succ: dict[int, int] = {}
         pass_code = 0
         for a, b, c, d, over_in in self.crossings:
             if over_in == "d":
@@ -173,32 +173,31 @@ class Diagram:
             # b, d = over-in, over-out; the over pass goes in first
             end[b] = start[d] = pass_code
             end[a] = start[c] = pass_code + 1
-            succ[a] = c
-            succ[b] = d
             pass_code += 2
-        return end, start, succ
+        return end, start
 
     @_cached
     def _cycles(self) -> tuple[tuple[int, ...], ...]:
         """Arc cycles ordered by minimal arc, each from its minimal arc."""
-        succ = self._passes[2]
+        end, start = self._passes
+        outs = list(start)  # pass -> the arc leaving it
         cycles: list[tuple[int, ...]] = []
-        left = len(succ)
+        left = len(end)
         rest = None
         # each walk starts at the least arc no earlier walk met, so the
         # cycles come out in order and start at their minimal arcs
-        first = min(succ, default=None)
+        first = min(end, default=None)
         while left:
             cycle = [first]
-            arc = succ[first]
+            arc = outs[end[first]]
             while arc != first:
                 cycle.append(arc)
-                arc = succ[arc]
+                arc = outs[end[arc]]
             cycles.append(tuple(cycle))
             left -= len(cycle)
             if left:
                 if rest is None:
-                    rest = set(succ)
+                    rest = set(end)
                 rest.difference_update(cycle)
                 first = min(rest)
         return tuple(cycles)
@@ -444,7 +443,7 @@ def _splice(d: Diagram, gone: tuple[int, ...], bridges: dict[int, int]) -> Diagr
     rebuilt crossings are the only ones that can gain a kink or an R2
     partner, so they join the crossings d left unsettled.
     """
-    end, start, _ = d._passes
+    end, start = d._passes
     mapping: dict[int, int] = {}
     ends = set()  # positions of the crossings at the ends of the runs
     nexts = bridges.values()
@@ -519,7 +518,7 @@ def reduce(d: Diagram) -> Diagram:
     """
     while True:
         xs = d.crossings
-        end, start, _ = d._passes
+        end, start = d._passes
         move = None
         for i in sorted(d._unsettled):
             a, b, c, d_, over_in = xs[i]

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 from pathlib import Path
 from typing import NamedTuple
 
@@ -50,7 +49,7 @@ def default_table_path() -> Path:
     env = os.environ.get("KNOT_TABLE")
     if env:
         return Path(env)
-    return Path(str(resources.files("conwaykit").joinpath("data/knot_table.json")))
+    return Path(__file__).with_name("data") / "knot_table.json"
 
 
 def _parse_entries(raw: object, source: str) -> dict[str, KnotTableEntry]:

@@ -207,6 +207,15 @@ def test_switch_is_involutive_and_negates_sign():
         assert again == d
 
 
+@pytest.mark.parametrize("move", [switch_crossing, smooth_crossing])
+def test_moves_refuse_a_crossing_of_another_diagram(move):
+    d = torus2_diagram(3)
+    # crossings of two other trefoil diagrams: the table's and d's mirror
+    for x in parse_pd(TREFOIL_PD).crossings + mirror(d).crossings:
+        with pytest.raises(ValueError, match="^crossing does not belong to this diagram$"):
+            move(d, x)
+
+
 def test_mirror_negates_writhe():
     for d in (torus2_diagram(3), parse_pd(TREFOIL_PD), torus2_diagram(4)):
         assert writhe(mirror(d)) == -writhe(d)

@@ -72,10 +72,23 @@ print("verify ok")
 '''
 
 
-def _run(script: str) -> str:
+# The table's path needs no importlib.resources.  -S skips the site
+# module and the .pth files it runs, one of which may import it first.
+TABLE_PATH = r'''
+import sys
+
+import conwaykit
+
+conwaykit.load_table()
+assert "importlib.resources" not in sys.modules
+print("table path ok")
+'''
+
+
+def _run(script: str, *flags: str) -> str:
     src = str(Path(conwaykit.__file__).resolve().parent.parent)
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, *flags, "-c", script],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.returncode == 0, proc.stderr
@@ -92,3 +105,7 @@ def test_lazy_submodules_resolve_as_attributes():
 
 def test_verify_harness_loads_no_dataclasses():
     assert _run(VERIFY) == "verify ok\n"
+
+
+def test_table_path_loads_no_importlib_resources():
+    assert _run(TABLE_PATH, "-S") == "table path ok\n"

@@ -4,6 +4,8 @@ from itertools import product
 
 import pytest
 
+from conwaykit.diagram import Diagram, components, disjoint_union
+from conwaykit.poly import IntPoly
 from conwaykit.table import TableError, default_table_path
 from conwaykit.verify import (
     CHAIN_DIFF,
@@ -11,6 +13,7 @@ from conwaykit.verify import (
     CHAIN_STEP1,
     CHAIN_STEP2,
     VerifyConfig,
+    _property_suite,
     a2_A,
     a2_B,
     a3_of,
@@ -262,6 +265,110 @@ def test_recurrence_mismatch_strings(monkeypatch, family, fault, box, computed):
     reports = check_recurrences(*box)
     assert [r.computed for r in reports] == computed
     assert [r.passed for r in reports] == [c.startswith("0 ") for c in computed]
+
+
+# a2_A perturbed at points of the anti-diagonals l + r = n - 1 that a3_of
+# sums -> computed strings of the four sum reports for 1 <= n <= 5, where
+# a3_of(1..5) = 0, -2, -2, 4, 20
+SUM_FAULTS = [
+    ({(1, 0, 0): 1}, [
+        "violated at n=1: 1 != 0 (+0 more)",
+        "violated at n=1 (+0 more)",
+        "a3_of(n) != 0 for n >= 2 for all n",
+        "violated at n=1: sign 1 (+0 more)",
+    ]),
+    # a3_of(2) becomes 0 and a3_of(4) becomes -1
+    ({(2, 1, 0): 2, (4, 0, 3): -5}, [
+        "violated at n=2: 0 != -2 (+1 more)",
+        "violated at n=2 (+1 more)",
+        "violated at n=2 (+0 more)",
+        "violated at n=2: sign 0 (+1 more)",
+    ]),
+]
+
+
+@pytest.mark.parametrize("faults,computed", SUM_FAULTS, ids=["n1", "n2_and_n4"])
+def test_sum_violation_strings(monkeypatch, faults, computed):
+    from conwaykit import verify
+
+    exact = verify.a2_A
+    monkeypatch.setattr(
+        verify, "a2_A", lambda n, l, r: exact(n, l, r) + faults.get((n, l, r), 0)
+    )
+    reports = theorem_sum_check(5)
+    assert [r.computed for r in reports] == computed
+    assert [r.passed for r in reports] == [not c.startswith("violated") for c in computed]
+
+
+def _split(d):
+    """d beside one more crossingless circle: a split link, worth 0."""
+    return Diagram(d.crossings, d.free_loops + 1)
+
+
+def _plus_if(term, wanted):
+    """real conway -> a stand-in that adds term to its value wherever
+    wanted(d, ctx) holds."""
+    return lambda real: lambda d, ctx=None: real(d, ctx) + term * bool(wanted(d, ctx))
+
+
+# verify attribute, real -> faulty stand-in, and the computed strings of
+# the property reports that then fail, for the SMALL sample sizes
+PROPERTY_FAULTS = {
+    "skein_identity": (
+        "check_skein_identity", lambda real: lambda d, x, ctx: x != d.crossings[-1],
+        {"property_skein_identity": "12 failures in 43 checks, first: diagram 0"},
+    ),
+    "odd_knots": (
+        "conway", _plus_if(IntPoly.z().shift(2), lambda d, ctx: len(components(d)) == 1),
+        {
+            "property_parity_and_linking":
+                "4 failures in 6 checks, first: knot diagram 2: 1+z^3",
+            "property_multiplicativity": "4 failures in 4 checks, first: pair 1",
+        },
+    ),
+    "even_links": (
+        "conway", _plus_if(IntPoly.one(), lambda d, ctx: len(components(d)) == 2),
+        {"property_parity_and_linking": "2 failures in 6 checks, first: link diagram 4: 1"},
+    ),
+    "linking_number": (
+        "linking_number", lambda real: lambda d, c1, c2: real(d, c1, c2) + 1,
+        {"property_parity_and_linking":
+            "2 failures in 6 checks, first: link diagram 4: a1 != lk"},
+    ),
+    "union": (
+        "disjoint_union", lambda real: lambda d1, d2: d1,
+        {"property_split_vanishing": "10 failures in 20 checks, first: pair 0"},
+    ),
+    "relabel": (
+        "_relabel", lambda real: lambda d, mapping: _split(real(d, mapping)),
+        {"property_basepoint_invariance": "5 failures in 12 checks, first: diagram 2"},
+    ),
+    "unreduced": (
+        "conway", _plus_if(IntPoly.one(), lambda d, ctx: not ctx.reduce_diagrams),
+        {"property_reduction_invariance": "12 failures in 12 checks, first: diagram 0"},
+    ),
+    "reduce_grows": (
+        "_reduce", lambda real: lambda d: disjoint_union(d, d),
+        {"property_reduce_preserves_conway":
+            "12 failures in 12 checks, first: diagram 0: grew"},
+    ),
+    "reduce_splits": (
+        "_reduce", lambda real: _split,
+        {"property_reduce_preserves_conway":
+            "5 failures in 12 checks, first: diagram 2: value changed"},
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,fault,failed", PROPERTY_FAULTS.values(), ids=list(PROPERTY_FAULTS)
+)
+def test_property_failure_strings(monkeypatch, name, fault, failed):
+    from conwaykit import verify
+
+    monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
+    reports = _property_suite(VerifyConfig(**SMALL))
+    assert {r.check_name: r.computed for r in reports if not r.passed} == failed
 
 
 # each point of the box is evaluated once per row that sweeps it: 801 calls
