@@ -51,8 +51,9 @@ _LAZY = {
         "default_table_path", "load_table",
     ),
     "verify": (
-        "VerificationReport", "a2_A", "a2_B", "a3_of", "check_recurrences",
-        "closed_form_crosscheck", "k1_chain", "run_all", "theorem_sum_check",
+        "VerificationReport", "VerifyConfig", "a2_A", "a2_B", "a3_of",
+        "check_recurrences", "closed_form_crosscheck", "k1_chain", "run_all",
+        "theorem_sum_check",
     ),
 }
 
@@ -70,45 +71,6 @@ def __getattr__(name: str):
 
 def __dir__():
     return sorted(set(globals()) | set(__all__))
-
-
-class VerifyConfig:
-    """Bounds, seed and sample sizes of one verification run.
-
-    It lives here rather than in verify, which re-exports it, so that the
-    CLI can read the default bounds without loading the verify module.
-    """
-
-    def __init__(
-        self,
-        max_n: int = 50,
-        max_l: int = 50,
-        max_r: int = 50,
-        theorem_max_n: int = 1000,
-        table_path: str | None = None,
-        seed: int = 20260817,
-        diagram_samples: int = 100,
-        pair_samples: int = 50,
-        max_random_crossings: int = 8,
-    ):
-        self.max_n = max_n
-        self.max_l = max_l
-        self.max_r = max_r
-        self.theorem_max_n = theorem_max_n
-        self.table_path = table_path
-        self.seed = seed
-        self.diagram_samples = diagram_samples
-        self.pair_samples = pair_samples
-        self.max_random_crossings = max_random_crossings
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"VerifyConfig({fields})"
 
 
 __version__ = "0.1.0"

@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 
-from . import VerifyConfig
 from .diagram import components, linking_number, parse_pd, pd_text
 from .poly import format_poly
 from .skein import (
@@ -36,6 +35,10 @@ def _positive_int(text: str) -> int:
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+
+
+# the bounds `verify` takes; one left unset keeps the harness's default
+_VERIFY_BOUNDS = ("max_n", "max_l", "max_r")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -77,14 +80,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
 
     p = sub.add_parser("verify", help="run every verification check")
-    defaults = VerifyConfig()
-    for bound in ("max_n", "max_l", "max_r"):
-        p.add_argument(
-            "--" + bound.replace("_", "-"),
-            type=_positive_int,
-            default=getattr(defaults, bound),
-            dest=bound,
-        )
+    for bound in _VERIFY_BOUNDS:
+        p.add_argument("--" + bound.replace("_", "-"), type=_positive_int)
     add_common(p)
 
     return parser
@@ -140,10 +137,10 @@ def _run_diagram_command(args: argparse.Namespace) -> int:
 
 def _run_verify(args: argparse.Namespace) -> int:
     # only this command needs the harness; the others never load it
-    from .verify import run_all
+    from .verify import VerifyConfig, run_all
 
-    config = VerifyConfig(max_n=args.max_n, max_l=args.max_l, max_r=args.max_r)
-    reports = run_all(config)
+    given = {b: getattr(args, b) for b in _VERIFY_BOUNDS if getattr(args, b) is not None}
+    reports = run_all(VerifyConfig(**given))
     failed = [r for r in reports if not r.passed]
     if args.format == "json":
         for r in reports:

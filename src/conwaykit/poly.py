@@ -45,9 +45,12 @@ class IntPoly:
     coeffs: tuple[int, ...]
 
     def __init__(self, coeffs: Iterable[int] = ()):
-        for c in _store(self, list(coeffs)).coeffs:
-            if not isinstance(c, int):
+        cs = list(coeffs)
+        for c in cs:
+            # a bool is an int to isinstance, but True is not a coefficient
+            if c.__class__ is not int:
                 raise TypeError(f"integer coefficient expected, got {type(c).__name__}")
+        _store(self, cs)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -120,7 +123,7 @@ class IntPoly:
         return _exact(out)
 
     def __rmul__(self, scalar: int) -> IntPoly:
-        if not isinstance(scalar, int):
+        if scalar.__class__ is not int:
             return NotImplemented
         return _exact([scalar * c for c in self.coeffs])
 

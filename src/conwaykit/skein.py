@@ -57,23 +57,18 @@ class SkeinInvariantError(RuntimeError):
 class SkeinContext:
     """Shared memo table and accounting for a batch of computations.
 
-    reduce_diagrams applies R1/R2 reduction before every expansion; it is
-    on by default and exists as a knob so tests can confirm the reduction
-    does not change computed values.
+    A caller sets node_budget and reduce_diagrams; the memo and the two
+    counters are state that starts empty.  reduce_diagrams applies R1/R2
+    reduction before every expansion; it is on by default and exists as a
+    knob so that tests and verify's property_reduction_invariance can
+    confirm the reduction does not change computed values.
     """
 
-    def __init__(
-        self,
-        memo: dict[str, IntPoly] | None = None,
-        node_budget: int = 1_000_000,
-        nodes_expanded: int = 0,
-        cache_hits: int = 0,
-        reduce_diagrams: bool = True,
-    ):
-        self.memo = {} if memo is None else memo
+    def __init__(self, node_budget: int = 1_000_000, reduce_diagrams: bool = True):
+        self.memo: dict[str, IntPoly] = {}
         self.node_budget = node_budget
-        self.nodes_expanded = nodes_expanded
-        self.cache_hits = cache_hits
+        self.nodes_expanded = 0
+        self.cache_hits = 0
         self.reduce_diagrams = reduce_diagrams
 
     def __eq__(self, other):

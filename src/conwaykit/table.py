@@ -113,12 +113,12 @@ def load_table(
     """
     where = Path(path) if path is not None else default_table_path()
     try:
-        text = where.read_text()
-    except OSError as exc:
+        text = where.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise TableError(f"cannot read table {where}: {exc}") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise TableError(f"{where}: invalid JSON: {exc}") from exc
     entries = _parse_entries(raw, str(where))
     if validate:

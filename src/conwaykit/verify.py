@@ -34,7 +34,6 @@ from itertools import product, repeat
 from math import prod
 from typing import NamedTuple
 
-from . import VerifyConfig  # defined in the package; re-exported here
 from .diagram import (
     Diagram,
     _braid_closure,
@@ -54,6 +53,39 @@ from .skein import (
     conway,
 )
 from .table import KnotTableEntry, TableError, check_entry, load_table
+
+
+class VerifyConfig:
+    """Bounds, seed and sample sizes of one verification run."""
+
+    def __init__(
+        self,
+        max_n: int = 50,
+        max_l: int = 50,
+        max_r: int = 50,
+        theorem_max_n: int = 1000,
+        table_path: str | None = None,
+        seed: int = 20260817,
+        diagram_samples: int = 100,
+        pair_samples: int = 50,
+    ):
+        self.max_n = max_n
+        self.max_l = max_l
+        self.max_r = max_r
+        self.theorem_max_n = theorem_max_n
+        self.table_path = table_path
+        self.seed = seed
+        self.diagram_samples = diagram_samples
+        self.pair_samples = pair_samples
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"VerifyConfig({fields})"
 
 
 class VerificationReport(NamedTuple):
@@ -291,7 +323,13 @@ def closed_form_crosscheck(
     ]
 
 
-def random_closure(rng: random.Random, max_crossings: int = 8) -> Diagram:
+# crossings of the property suite's random closures
+MAX_RANDOM_CROSSINGS = 8
+
+
+def random_closure(
+    rng: random.Random, max_crossings: int = MAX_RANDOM_CROSSINGS
+) -> Diagram:
     """Seeded random braid closure; the workhorse of the property sweeps."""
     strands = rng.randint(2, 4)
     length = rng.randint(1, max_crossings)
@@ -301,11 +339,8 @@ def random_closure(rng: random.Random, max_crossings: int = 8) -> Diagram:
 
 def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
     rng = random.Random(config.seed)
-    ctx = SkeinContext(node_budget=10**7)
-    samples = [
-        random_closure(rng, config.max_random_crossings)
-        for _ in range(config.diagram_samples)
-    ]
+    ctx = SkeinContext()
+    samples = [random_closure(rng) for _ in range(config.diagram_samples)]
     reports = []
 
     def tally(name: str, inputs: str, fails: list[str], total: int):
@@ -314,7 +349,7 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
 
     tally(
         "property_skein_identity",
-        f"{len(samples)} random closures <= {config.max_random_crossings} "
+        f"{len(samples)} random closures <= {MAX_RANDOM_CROSSINGS} "
         f"crossings, every crossing",
         [
             f"diagram {i}"

@@ -26,7 +26,7 @@ def small_verify(monkeypatch):
     short: the CLI sets only the three index bounds, and the default run is
     covered by test_run_all_default_names_and_inputs."""
     monkeypatch.setattr(
-        "conwaykit.cli.VerifyConfig",
+        "conwaykit.verify.VerifyConfig",
         functools.partial(
             conwaykit.VerifyConfig, theorem_max_n=10, diagram_samples=5, pair_samples=3
         ),
@@ -221,6 +221,24 @@ def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch, small_verify)
 
 
 @pytest.mark.parametrize(
+    "data",
+    [b"[\xff]", b"[" * 100_000, b"[%s]" % (b"1" * 5000)],
+    ids=["not-utf-8", "nested-100000-deep", "int-of-5000-digits"],
+)
+def test_verify_unreadable_table_env(capsys, tmp_path, monkeypatch, small_verify, data):
+    p = tmp_path / "bad.json"
+    p.write_bytes(data)
+    monkeypatch.setenv("KNOT_TABLE", str(p))
+    code, out, err = run(
+        capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2"
+    )
+    assert code == 1
+    assert "FAIL table_load: expected loadable; computed " in out
+    assert out.strip().splitlines()[-1] == "1 OF 18 CHECKS FAILED"
+    assert err == ""
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--max-n", "0"],
@@ -241,15 +259,16 @@ def test_bad_bounds_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
-def test_verify_bound_defaults_come_from_config():
-    from conwaykit.cli import _build_parser
+def test_verify_passes_only_the_bounds_given(capsys, monkeypatch):
+    # a bound left out is not copied into the CLI: VerifyConfig's own default
+    # applies
     from conwaykit.verify import VerifyConfig
 
-    args = _build_parser().parse_args(["verify"])
-    config = VerifyConfig()
-    assert (args.max_n, args.max_l, args.max_r) == (
-        config.max_n, config.max_l, config.max_r
-    )
+    seen = []
+    monkeypatch.setattr("conwaykit.verify.run_all", lambda c: seen.append(c) or [])
+    assert run(capsys, "verify")[0] == 0
+    assert run(capsys, "verify", "--max-n", "3")[0] == 0
+    assert seen == [VerifyConfig(), VerifyConfig(max_n=3)]
 
 
 def test_verify_fails_table_without_chain_entries(

@@ -85,6 +85,17 @@ print("table path ok")
 '''
 
 
+# The table is read as UTF-8 whatever the locale: under
+# -X warn_default_encoding a read that names no encoding warns, and the -W
+# filter makes that warning an error.
+TABLE_ENCODING = r'''
+import conwaykit
+
+conwaykit.load_table()
+print("table encoding ok")
+'''
+
+
 def _run(script: str, *flags: str) -> str:
     src = str(Path(conwaykit.__file__).resolve().parent.parent)
     proc = subprocess.run(
@@ -109,3 +120,8 @@ def test_verify_harness_loads_no_dataclasses():
 
 def test_table_path_loads_no_importlib_resources():
     assert _run(TABLE_PATH, "-S") == "table path ok\n"
+
+
+def test_table_read_names_its_encoding():
+    flags = ("-X", "warn_default_encoding", "-W", "error::EncodingWarning")
+    assert _run(TABLE_ENCODING, *flags) == "table encoding ok\n"

@@ -74,7 +74,8 @@ def test_normalization_is_idempotent():
 
 
 def test_construction_rejects_non_integer_coefficients():
-    for bad in ([1.5], [1, "2"], [0, 1, 2.0]):
+    # a bool is an int to isinstance, and a trailing zero is still checked
+    for bad in ([1.5], [1, "2"], [0, 1, 2.0], [True], [1, False], [2, 0.0]):
         with pytest.raises(TypeError):
             IntPoly(bad)
 
@@ -157,6 +158,9 @@ def test_arithmetic_with_non_polynomials():
         lambda: p * 2.5,
         lambda: 2.5 * p,
         lambda: p * "z",
+        lambda: p * True,
+        lambda: True * p,
+        lambda: IntPoly((1, 2)) * True,
     ):
         with pytest.raises(TypeError):
             apply()
@@ -166,7 +170,7 @@ def test_arithmetic_with_non_polynomials():
 
 
 def test_format_canonical_examples():
-    assert format_poly(P("1+z^2")) == "1+z^2"
+    assert format_poly(P("1+z^2")) == "1+z^2" == str(P("1+z^2"))
     assert format_poly(P("2z+2z^3")) == "2z+2z^3"
     assert format_poly(IntPoly.zero()) == "0"
     assert format_poly(IntPoly((0, -2, 0, 1))) == "-2z+z^3"

@@ -109,10 +109,13 @@ def test_structural_errors(tmp_path):
             ' {"name": "x", "pd": "O", "conway": "1", "components": 1}]'
         ),
         "empty name": '[{"name": "", "pd": "O", "conway": "1", "components": 1}]',
+        "not utf-8": b'[{"name": "\xe9"}]',
+        "nested 100000 deep": b"[" * 100_000,
+        "int of 5000 digits": "[%s]" % ("1" * 5000),
     }
     for label, text in cases.items():
         p = tmp_path / f"{abs(hash(label))}.json"
-        p.write_text(text)
+        p.write_bytes(text if isinstance(text, bytes) else text.encode())
         with pytest.raises(TableError):
             load_table(p)
 

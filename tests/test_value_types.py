@@ -54,9 +54,16 @@ def test_reprs():
 
 
 def test_keyword_construction_and_defaults():
-    assert SkeinContext(node_budget=5) == SkeinContext(
-        memo={}, node_budget=5, nodes_expanded=0, cache_hits=0, reduce_diagrams=True
-    )
+    # a caller sets the budget and the reduction switch; the memo and the
+    # counters are state that the context starts empty
+    assert vars(SkeinContext(node_budget=5)) == {
+        "memo": {}, "node_budget": 5, "nodes_expanded": 0, "cache_hits": 0,
+        "reduce_diagrams": True,
+    }
+    assert SkeinContext(node_budget=5) == SkeinContext(5, True)
+    for state in ("memo", "nodes_expanded", "cache_hits"):
+        with pytest.raises(TypeError):
+            SkeinContext(**{state: None})
     assert SkeinContext().memo is not SkeinContext().memo
     assert Diagram() == Diagram(crossings=(), free_loops=0)
     assert Diagram(free_loops=1).crossings == ()
@@ -80,6 +87,7 @@ def test_equal_values_are_equal_and_hash_equal():
         else:
             assert hash(a[name]) == hash(b[name]), name
     assert SkeinContext(node_budget=5) != SkeinContext()
+    assert SkeinContext().__eq__(vars(SkeinContext())) is NotImplemented
     assert Diagram() != Diagram(free_loops=1)
     assert IntPoly((1,)) != IntPoly((0, 1))
 
@@ -144,8 +152,7 @@ def test_verify_config():
     config = VerifyConfig(max_n=3, seed=7)
     assert repr(config) == (
         "VerifyConfig(max_n=3, max_l=50, max_r=50, theorem_max_n=1000, "
-        "table_path=None, seed=7, diagram_samples=100, pair_samples=50, "
-        "max_random_crossings=8)"
+        "table_path=None, seed=7, diagram_samples=100, pair_samples=50)"
     )
     assert VerifyConfig() == VerifyConfig() and config != VerifyConfig()
     assert pickle.loads(pickle.dumps(config)) == config == copy.deepcopy(config)

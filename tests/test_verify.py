@@ -308,7 +308,7 @@ def _split(d):
 def _plus_if(term, wanted):
     """real conway -> a stand-in that adds term to its value wherever
     wanted(d, ctx) holds."""
-    return lambda real: lambda d, ctx=None: real(d, ctx) + term * bool(wanted(d, ctx))
+    return lambda real: lambda d, ctx=None: real(d, ctx) + term * int(wanted(d, ctx))
 
 
 # verify attribute, real -> faulty stand-in, and the computed strings of
