@@ -8,43 +8,15 @@ family of closed-form coefficient identities from scratch.
 
 import importlib
 
-from .diagram import (
-    Crossing,
-    Diagram,
-    PDSyntaxError,
-    PDValidationError,
-    canonical_code,
-    components,
-    connected_sum,
-    disjoint_union,
-    is_graph_connected,
-    linking_number,
-    meridian_link,
-    mirror,
-    parse_pd,
-    pd_text,
-    reduce,
-    smooth_crossing,
-    switch_crossing,
-    torus2_diagram,
-    writhe,
-)
-from .poly import IntPoly, PolySyntaxError, format_poly, parse_poly
-from .skein import (
-    NodeBudgetExceeded,
-    SkeinContext,
-    SkeinInvariantError,
-    a2,
-    check_a2_skein,
-    check_skein_identity,
-    conway,
-    conway_Kn,
-    conway_torus2,
-)
+# each engine module declares its public names in its own __all__
+from . import diagram, poly, skein
+from .diagram import *
+from .poly import *
+from .skein import *
 
 # The table and verify modules load on first use of one of their names
 # (PEP 562), so that `import conwaykit` and the CLI's diagram commands
-# compile only the engine.
+# compile only the engine.  _LAZY is the one list of their public names.
 _LAZY = {
     "table": (
         "KnotTableEntry", "TableError", "TableValidationError", "check_entry",
@@ -75,54 +47,8 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Crossing",
-    "Diagram",
-    "IntPoly",
-    "KnotTableEntry",
-    "NodeBudgetExceeded",
-    "PDSyntaxError",
-    "PDValidationError",
-    "PolySyntaxError",
-    "SkeinContext",
-    "SkeinInvariantError",
-    "TableError",
-    "TableValidationError",
-    "VerificationReport",
-    "VerifyConfig",
-    "a2",
-    "a2_A",
-    "a2_B",
-    "a3_of",
-    "canonical_code",
-    "check_a2_skein",
-    "check_entry",
-    "check_recurrences",
-    "check_skein_identity",
-    "closed_form_crosscheck",
-    "components",
-    "connected_sum",
-    "conway",
-    "conway_Kn",
-    "conway_torus2",
-    "default_table_path",
-    "disjoint_union",
-    "format_poly",
-    "is_graph_connected",
-    "k1_chain",
-    "linking_number",
-    "load_table",
-    "meridian_link",
-    "mirror",
-    "parse_pd",
-    "parse_poly",
-    "pd_text",
-    "reduce",
-    "run_all",
-    "smooth_crossing",
-    "switch_crossing",
-    "theorem_sum_check",
-    "torus2_diagram",
-    "writhe",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += diagram.__all__
+__all__ += poly.__all__
+__all__ += skein.__all__
+__all__ += [name for names in _LAZY.values() for name in names]

@@ -93,7 +93,7 @@ def _load_pd(args: argparse.Namespace) -> str:
     try:
         with open(args.file, encoding="utf-8") as fh:
             return fh.read().strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {args.file}: {exc}") from exc
 
 

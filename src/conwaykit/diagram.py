@@ -25,6 +25,13 @@ Text grammar::
 
 from __future__ import annotations
 
+__all__ = [
+    "Crossing", "Diagram", "PDSyntaxError", "PDValidationError", "canonical_code",
+    "components", "connected_sum", "disjoint_union", "is_graph_connected",
+    "linking_number", "meridian_link", "mirror", "parse_pd", "pd_text", "reduce",
+    "smooth_crossing", "switch_crossing", "torus2_diagram", "writhe",
+]
+
 import re
 from bisect import bisect
 from functools import partial

@@ -23,6 +23,8 @@ style exponents, ``0`` for the zero polynomial.
 
 from __future__ import annotations
 
+__all__ = ["IntPoly", "PolySyntaxError", "format_poly", "parse_poly"]
+
 import re
 from typing import Iterable, Iterator
 

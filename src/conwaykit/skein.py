@@ -20,6 +20,11 @@ node budget, not by Python's recursion limit.
 
 from __future__ import annotations
 
+__all__ = [
+    "NodeBudgetExceeded", "SkeinContext", "SkeinInvariantError", "a2",
+    "check_a2_skein", "check_skein_identity", "conway", "conway_Kn", "conway_torus2",
+]
+
 from .diagram import (
     Crossing,
     Diagram,
@@ -64,6 +69,9 @@ class SkeinContext:
     confirm the reduction does not change computed values.
     """
 
+    # not a SimpleNamespace subclass like VerifyConfig: the engine reads
+    # these attributes on every node, and a SimpleNamespace subclass's
+    # attributes read several times slower on Python 3.11
     def __init__(self, node_budget: int = 1_000_000, reduce_diagrams: bool = True):
         self.memo: dict[str, IntPoly] = {}
         self.node_budget = node_budget

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from itertools import product, repeat
 from math import prod
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .diagram import (
@@ -55,7 +56,7 @@ from .skein import (
 from .table import KnotTableEntry, TableError, check_entry, load_table
 
 
-class VerifyConfig:
+class VerifyConfig(SimpleNamespace):
     """Bounds, seed and sample sizes of one verification run."""
 
     def __init__(
@@ -69,23 +70,16 @@ class VerifyConfig:
         diagram_samples: int = 100,
         pair_samples: int = 50,
     ):
-        self.max_n = max_n
-        self.max_l = max_l
-        self.max_r = max_r
-        self.theorem_max_n = theorem_max_n
-        self.table_path = table_path
-        self.seed = seed
-        self.diagram_samples = diagram_samples
-        self.pair_samples = pair_samples
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return vars(self) == vars(other)
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
-        return f"VerifyConfig({fields})"
+        super().__init__(
+            max_n=max_n,
+            max_l=max_l,
+            max_r=max_r,
+            theorem_max_n=theorem_max_n,
+            table_path=table_path,
+            seed=seed,
+            diagram_samples=diagram_samples,
+            pair_samples=pair_samples,
+        )
 
 
 class VerificationReport(NamedTuple):
@@ -241,20 +235,16 @@ _CHAIN_NAMES = ("8_19", "3_1", "L6a1{1}", "10_148")
 
 
 def k1_chain(
-    table: dict[str, KnotTableEntry] | None = None,
-    ctx: SkeinContext | None = None,
+    table: dict[str, KnotTableEntry], ctx: SkeinContext
 ) -> list[VerificationReport]:
-    """Recompute the degree-8 polynomial chain two ways.
+    """Recompute the degree-8 polynomial chain two ways from the given
+    table, computing the engine's values in the given context.
 
     Route one multiplies/subtracts the stored table polynomials; route two
     recomputes every polynomial from the table diagrams with the skein
     engine (taking the mirror where the chain calls for it).  Both must
     reproduce the four printed values, and the difference must be nonzero.
     """
-    if table is None:
-        table = load_table()
-    if ctx is None:
-        ctx = SkeinContext()
     missing = [name for name in _CHAIN_NAMES if name not in table]
     if missing:
         raise TableError(f"table lacks entries: {', '.join(missing)}")
@@ -286,20 +276,16 @@ def k1_chain(
 
 
 def closed_form_crosscheck(
-    table: dict[str, KnotTableEntry] | None = None,
-    ctx: SkeinContext | None = None,
+    table: dict[str, KnotTableEntry], ctx: SkeinContext
 ) -> list[VerificationReport]:
-    """Anchor the closed forms to concrete knots.
+    """Anchor the closed forms to concrete knots of the given table,
+    computing the engine's values in the given context.
 
     At (1,0,0) both formulas must equal the z^2 coefficients of the chain
     polynomials; at (0,0,0) both must equal 6, matching a2(8_19)+a2(3_1)
     = 5+1 and a2(5_2)+4 = 2+4, with the a2 values recomputed by the
     engine from the table diagrams.
     """
-    if table is None:
-        table = load_table()
-    if ctx is None:
-        ctx = SkeinContext()
     for name in ("8_19", "3_1", "5_2"):
         if name not in table:
             raise TableError(f"table lacks entry {name}")
@@ -494,7 +480,7 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
         guarded("chain", k1_chain, table, ctx)
         guarded("closed_form", closed_form_crosscheck, table, ctx)
     guarded("recurrence", check_recurrences, config.max_n, config.max_l, config.max_r)
-    guarded("sum", theorem_sum_check, max(config.theorem_max_n, 2))
+    guarded("sum", theorem_sum_check, config.theorem_max_n)
     guarded("property", _property_suite, config)
 
     return sorted(reports, key=lambda r: r.check_name)

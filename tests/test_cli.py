@@ -144,6 +144,14 @@ def test_missing_file(capsys):
     assert "error:" in err
 
 
+def test_file_not_utf8_is_named(capsys, tmp_path):
+    p = tmp_path / "knot.pd"
+    p.write_bytes(b"X(1,4,2,5)\xff")
+    code, out, err = run(capsys, "conway", "--file", str(p))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {p}: 'utf-8' codec can't decode")
+
+
 def test_bad_pd(capsys):
     code, _, err = run(capsys, "conway", "--pd", "X(1,2,3)")
     assert code == 2

@@ -194,6 +194,13 @@ def test_reverse_component_negates_linking():
     assert _reverse_component(rev, 0) == hopf
 
 
+def test_reverse_component_refuses_bad_index():
+    hopf = torus2_diagram(2)
+    for comp in (-1, 2):
+        with pytest.raises(ValueError, match="component index out of range"):
+            _reverse_component(hopf, comp)
+
+
 # -- moves ----------------------------------------------------------------------
 
 
@@ -458,3 +465,11 @@ def test_braid_closure_free_strands_become_loops():
     d = _braid_closure([1], 3)
     assert d.free_loops == 1
     assert len(components(d)) == 2
+
+
+def test_braid_closure_refuses_bad_words():
+    with pytest.raises(ValueError, match="strands must be >= 1"):
+        _braid_closure([], 0)
+    for letter in (0, 3, -3):
+        with pytest.raises(ValueError, match=f"braid letter {letter} out of range"):
+            _braid_closure([1, letter], 3)

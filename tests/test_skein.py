@@ -46,15 +46,9 @@ from conwaykit.skein import (
     conway_Kn,
     conway_torus2,
 )
+from conwaykit.verify import random_closure
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
-
-
-def random_closure(rng: random.Random, max_crossings: int = 8) -> Diagram:
-    strands = rng.randint(2, 4)
-    length = rng.randint(1, max_crossings)
-    word = [rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(length)]
-    return _braid_closure(word, strands)
 
 
 # -- pinned values ---------------------------------------------------------------
@@ -305,6 +299,12 @@ def test_a2_skein_preconditions():
         check_a2_skein(hopf, hopf.crossings[0])
     with pytest.raises(ValueError):
         a2(hopf)
+
+
+def test_identity_checks_make_their_own_context():
+    t5 = torus2_diagram(5)
+    assert all(check_skein_identity(t5, x) for x in t5.crossings)
+    assert all(check_a2_skein(t5, x) for x in t5.crossings)
 
 
 # -- context bookkeeping -------------------------------------------------------------

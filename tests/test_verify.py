@@ -6,7 +6,8 @@ import pytest
 
 from conwaykit.diagram import Diagram, components, disjoint_union
 from conwaykit.poly import IntPoly
-from conwaykit.table import TableError, default_table_path
+from conwaykit.skein import SkeinContext
+from conwaykit.table import TableError, default_table_path, load_table
 from conwaykit.verify import (
     CHAIN_DIFF,
     CHAIN_FINAL,
@@ -107,7 +108,7 @@ def test_theorem_sum_check():
 
 
 def test_k1_chain_exact_values():
-    reports = k1_chain()
+    reports = k1_chain(load_table(), SkeinContext())
     by_name = {r.check_name: r for r in reports}
     assert len(reports) == 7
     assert all(r.passed for r in reports)
@@ -126,11 +127,11 @@ def test_k1_chain_requires_entries():
     table = load_table(validate=False)
     del table["8_19"]
     with pytest.raises(TableError, match="8_19"):
-        k1_chain(table)
+        k1_chain(table, SkeinContext())
 
 
 def test_closed_form_crosscheck():
-    reports = closed_form_crosscheck()
+    reports = closed_form_crosscheck(load_table(), SkeinContext())
     assert len(reports) == 4
     assert all(r.passed for r in reports)
     by_name = {r.check_name: r for r in reports}
@@ -202,6 +203,12 @@ def test_run_all_fails_table_without_chain_entries(tmp_path):
         "closed_form": "TableError: table lacks entry 8_19",
     }
     assert any(r.check_name == "table_load" and r.passed for r in reports)
+
+
+def test_run_all_passes_the_sum_bound_as_given():
+    reports = run_all(VerifyConfig(**{**SMALL, "theorem_max_n": 1}))
+    failed = {r.check_name: (r.inputs, r.computed) for r in reports if not r.passed}
+    assert failed == {"sum": ("check raised", "ValueError: max_n must be >= 2")}
 
 
 # (family, perturbation, box) -> computed strings of the six recurrence
