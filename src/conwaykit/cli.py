@@ -48,15 +48,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser):
+    def add_common(p: argparse.ArgumentParser, **defaults):
+        # after the command's own options; main calls the command's run(args)
         p.add_argument(
             "--format", choices=("text", "json"), default="text", help="output format"
         )
         p.add_argument(
             "--verbose", action="store_true", help="engine statistics on stderr"
         )
+        p.set_defaults(**defaults)
 
-    def add_diagram_command(name: str, summary: str) -> argparse.ArgumentParser:
+    def add_diagram_command(name: str, summary: str, compute) -> None:
         p = sub.add_parser(name, help=summary)
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--pd", help="PD code, e.g. 'X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)'")
@@ -64,37 +66,31 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--budget", type=_positive_int, help="node budget for the skein search"
         )
-        add_common(p)
-        return p
+        add_common(p, run=_run_diagram_command, compute=compute)
 
-    add_diagram_command("conway", "Conway polynomial of a diagram")
-    add_diagram_command("a2", "z^2 coefficient of a knot diagram")
-    add_diagram_command("lk", "pairwise linking numbers of a link diagram")
+    add_diagram_command(
+        "conway", "Conway polynomial of a diagram",
+        lambda d, ctx: format_poly(conway(d, ctx)),
+    )
+    add_diagram_command("a2", "z^2 coefficient of a knot diagram", a2)
+    add_diagram_command(
+        "lk", "pairwise linking numbers of a link diagram", _linking_numbers
+    )
 
     p = sub.add_parser("torus", help="Conway polynomial of the (2, m) torus link")
     p.add_argument("--m", type=int, required=True)
-    add_common(p)
+    add_common(p, run=lambda a: _emit(a, str(a.m), format_poly(conway_torus2(a.m))))
 
     p = sub.add_parser("kn", help="Conway polynomial of the n-th twisted knot product")
     p.add_argument("--n", type=int, required=True)
-    add_common(p)
+    add_common(p, run=lambda a: _emit(a, str(a.n), format_poly(conway_Kn(a.n))))
 
     p = sub.add_parser("verify", help="run every verification check")
     for bound in _VERIFY_BOUNDS:
         p.add_argument("--" + bound.replace("_", "-"), type=_positive_int)
-    add_common(p)
+    add_common(p, run=_run_verify)
 
     return parser
-
-
-def _load_pd(args: argparse.Namespace) -> str:
-    if args.pd is not None:
-        return args.pd
-    try:
-        with open(args.file, encoding="utf-8") as fh:
-            return fh.read().strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {args.file}: {exc}") from exc
 
 
 def _emit(args: argparse.Namespace, input_text: str, result) -> None:
@@ -107,32 +103,35 @@ def _emit(args: argparse.Namespace, input_text: str, result) -> None:
         print(result)
 
 
-def _run_diagram_command(args: argparse.Namespace) -> int:
-    pd = _load_pd(args)
-    d = parse_pd(pd)
+def _run_diagram_command(args: argparse.Namespace) -> None:
+    """A diagram command: read and parse the diagram, print compute(d, ctx)."""
+    text = args.pd
+    if text is None:
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                text = fh.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValueError(f"cannot read {args.file}: {exc}") from exc
+    d = parse_pd(text)
     ctx = SkeinContext()
     if args.budget is not None:
         ctx.node_budget = args.budget
-    if args.command == "conway":
-        result = format_poly(conway(d, ctx))
-    elif args.command == "a2":
-        result = a2(d, ctx)
-    else:
-        comps = components(d)
-        result = {
-            f"lk({i},{j})": linking_number(d, i, j)
-            for i in range(len(comps))
-            for j in range(i + 1, len(comps))
-        }
-        if not result:
-            print("diagram has a single component; no pairs", file=sys.stderr)
-    _emit(args, pd_text(d), result)
+    _emit(args, pd_text(d), args.compute(d, ctx))
     if args.verbose:
         print(
             f"nodes expanded: {ctx.nodes_expanded}, cache hits: {ctx.cache_hits}",
             file=sys.stderr,
         )
-    return 0
+
+
+def _linking_numbers(d, ctx: SkeinContext) -> dict[str, int]:
+    n = len(components(d))
+    result = {
+        f"lk({i},{j})": linking_number(d, i, j) for i in range(n) for j in range(i + 1, n)
+    }
+    if not result:
+        print("diagram has a single component; no pairs", file=sys.stderr)
+    return result
 
 
 def _run_verify(args: argparse.Namespace) -> int:
@@ -171,17 +170,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        if args.command in ("conway", "a2", "lk"):
-            return _run_diagram_command(args)
-        if args.command == "torus":
-            result = format_poly(conway_torus2(args.m))
-            _emit(args, str(args.m), result)
-            return 0
-        if args.command == "kn":
-            result = format_poly(conway_Kn(args.n))
-            _emit(args, str(args.n), result)
-            return 0
-        return _run_verify(args)
+        return args.run(args) or 0  # None from a handler is success
     except (NodeBudgetExceeded, SkeinInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

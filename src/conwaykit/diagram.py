@@ -38,6 +38,8 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple
 
+from .poly import _read_int
+
 
 class PDSyntaxError(ValueError):
     """Malformed PD text; carries the 0-based offset of the bad character."""
@@ -262,7 +264,7 @@ def parse_pd(text: str) -> Diagram:
         if m.group(1) == "O":
             free_loops += 1
         else:
-            labels += map(int, m.group(2, 3, 4, 5))
+            labels += (_read_int(m, g, PDSyntaxError) for g in range(2, 6))
         pos = m.end()
         if pos == len(text):
             break

@@ -202,18 +202,21 @@ def format_poly(p: IntPoly) -> str:
         else:
             var = "z" if k == 1 else f"z^{k}"
             body = var if mag == 1 else f"{mag}{var}"
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+" if c > 0 else "-") + body)
-    return "".join(parts) if parts else "0"
+        parts.append(("+" if c > 0 else "-") + body)
+    return "".join(parts).removeprefix("+") or "0"
 
 
-_TERM = re.compile(r"(\d+)?(z(?:\^(\d+))?)?")
+# a term with the sign before it: the first term may open with '-', and each
+# later one, which follows the digit or 'z' that ends the one before, needs
+# its '+' or '-'
+_TERM = re.compile(r"((?<![\dz])-?|(?<=[\dz])[+-])(\d+)?(z(?:\^(\d+))?)?")
 
 
 def parse_poly(text: str) -> IntPoly:
     """Parse polynomial text; raises PolySyntaxError with the bad offset.
+
+    Whitespace may surround the text but not sit inside it; offsets index
+    the text as given.
 
     >>> parse_poly("2z+2z^3").coeffs
     (0, 2, 0, 2)
@@ -223,39 +226,29 @@ def parse_poly(text: str) -> IntPoly:
     Traceback (most recent call last):
     PolySyntaxError: ...
     """
-    s = text.strip()
-    if not s:
-        raise PolySyntaxError("empty polynomial", 0)
+    pos = len(text) - len(text.lstrip())
+    end = pos + len(text.strip())
+    if pos == end:
+        raise PolySyntaxError("empty polynomial", pos)
     coeffs: dict[int, int] = {}
-    i = 0
-    first = True
-    while i < len(s):
-        sign = 1
-        if not first:
-            if s[i] == "+":
-                i += 1
-            elif s[i] == "-":
-                sign = -1
-                i += 1
-            else:
-                raise PolySyntaxError(f"expected '+' or '-', found {s[i]!r}", i)
-        elif s[i] == "-":
-            sign = -1
-            i += 1
-        m = _TERM.match(s, i)
-        if m is None or m.end() == i:
-            found = s[i] if i < len(s) else "end of input"
-            raise PolySyntaxError(f"expected a term, found {found!r}", i)
-        digits, zpart, exponent = m.group(1), m.group(2), m.group(3)
-        coeff = sign * (int(digits) if digits is not None else 1)
-        if zpart is None:
-            power = 0
-        elif exponent is None:
-            power = 1
-        else:
-            power = int(exponent)
-        coeffs[power] = coeffs.get(power, 0) + coeff
-        i = m.end()
-        first = False
+    while pos < end:
+        m = _TERM.match(text, pos, end)
+        if m is None:
+            raise PolySyntaxError(f"expected '+' or '-', found {text[pos]!r}", pos)
+        pos = m.end()
+        if pos == m.end(1):
+            found = text[pos] if pos < end else "end of input"
+            raise PolySyntaxError(f"expected a term, found {found!r}", pos)
+        coeff = _read_int(m, 2, PolySyntaxError) if m[2] else 1
+        power = _read_int(m, 4, PolySyntaxError) if m[4] else 1 if m[3] else 0
+        coeffs[power] = coeffs.get(power, 0) + (-coeff if m[1] == "-" else coeff)
     top = max(coeffs)
     return IntPoly([coeffs.get(k, 0) for k in range(top + 1)])
+
+
+def _read_int(m: re.Match, group: int, error: type) -> int:
+    """int() of a digit group; one too long for int() raises error at its first digit."""
+    try:
+        return int(m[group])
+    except ValueError:
+        raise error("number too long", m.start(group)) from None

@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -158,16 +159,25 @@ def test_bad_pd(capsys):
     assert "error:" in err
 
 
-def test_budget_exhaustion(capsys):
-    code, _, err = run(capsys, "conway", "--pd", T25, "--budget", "2")
+def test_pd_number_too_long_is_an_input_error(capsys):
+    code, out, err = run(capsys, "conway", "--pd", "X(" + "9" * 5000 + ",1,1,2)")
+    assert (code, out, err) == (2, "", "error: number too long (at position 2)\n")
+
+
+@pytest.mark.parametrize("command", ["conway", "a2"])
+def test_budget_exhaustion(capsys, command):
+    code, _, err = run(capsys, command, "--pd", T25, "--budget", "2")
     assert code == 1
     assert "error:" in err
 
 
-def test_verbose_stats(capsys):
-    code, out, err = run(capsys, "conway", "--pd", TREFOIL, "--verbose")
+@pytest.mark.parametrize("command", ["conway", "a2", "lk"])
+def test_verbose_stats(capsys, command):
+    code, out, err = run(capsys, command, "--pd", TREFOIL, "--verbose")
     assert code == 0
-    assert "nodes expanded:" in err
+    # the counts of the context the command made; lk runs no skein search
+    nodes = {"conway": 5, "a2": 5, "lk": 0}[command]
+    assert err.splitlines()[-1] == f"nodes expanded: {nodes}, cache hits: 0"
 
 
 def test_usage_errors(capsys):
@@ -292,3 +302,22 @@ def test_verify_fails_table_without_chain_entries(
     assert "FAIL chain: expected no exception; computed TableError" in out
     assert "FAIL closed_form: " in out
     assert out.strip().splitlines()[-1] == "2 OF 20 CHECKS FAILED"
+
+
+
+def test_readme_cli_examples(capsys):
+    # each `conwaykit ...` line of README's "CLI usage" block against the
+    # lines printed under it; the --file and verify lines show no output
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI usage", 1)[1].split("```")[1]
+    examples: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("conwaykit "):
+            examples.append((line, []))
+        elif line and not line.startswith("#"):
+            examples[-1][1].append(line)
+    shown = [(line, lines) for line, lines in examples if lines]
+    assert [line.split()[1] for line, _ in shown] == ["conway", "a2", "lk", "torus", "kn"]
+    for line, lines in shown:
+        code, out, _ = run(capsys, *shlex.split(line)[1:])
+        assert (code, out.splitlines()) == (0, lines), line

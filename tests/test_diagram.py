@@ -90,6 +90,13 @@ def test_syntax_errors_have_positions():
     assert exc.value.position == 10
     with pytest.raises(PDSyntaxError):
         parse_pd("Y(1,2,3,4)")
+    # a label too long for int() is refused at its first digit
+    for text, pos in [
+        ("X(" + "9" * 5000 + ",1,1,2)", 2), ("O; X(1,2,3, " + "9" * 5000 + ")", 12)
+    ]:
+        with pytest.raises(PDSyntaxError, match="number too long") as exc:
+            parse_pd(text)
+        assert exc.value.position == pos
 
 
 def test_validation_rejects_bad_multiplicity():

@@ -197,7 +197,13 @@ def test_round_trip_on_random_polynomials():
 
 
 def test_syntax_errors_carry_position():
-    for text, pos in [("", 0), ("1+", 2), ("x", 0), ("1++2", 2), ("2z^", 2), ("1 + z", 1)]:
+    # offsets index the text as given, leading whitespace included; a number
+    # too long for int() is refused at its first digit
+    for text, pos in [
+        ("", 0), ("1+", 2), ("x", 0), ("1++2", 2), ("2z^", 2), ("1 + z", 1),
+        ("  x", 2), (" 1+", 3), ("\t1 + z", 2),
+        ("9" * 5000, 0), ("z^" + "9" * 5000, 2), ("1-" + "9" * 5000 + "z", 2),
+    ]:
         with pytest.raises(PolySyntaxError) as exc:
             parse_poly(text)
         assert exc.value.position == pos

@@ -112,6 +112,9 @@ def test_structural_errors(tmp_path):
         "not utf-8": b'[{"name": "\xe9"}]',
         "nested 100000 deep": b"[" * 100_000,
         "int of 5000 digits": "[%s]" % ("1" * 5000),
+        "conway of 5000 digits": (
+            '[{"name": "x", "pd": "O", "conway": "%s", "components": 1}]' % ("9" * 5000)
+        ),
     }
     for label, text in cases.items():
         p = tmp_path / f"{abs(hash(label))}.json"
