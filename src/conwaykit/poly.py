@@ -29,6 +29,11 @@ import re
 from typing import Iterable, Iterator
 
 
+# the largest exponent parse_poly accepts: the dense coefficient list it
+# builds is one entry longer, and every table degree is far below it
+MAX_EXPONENT = 100_000
+
+
 class PolySyntaxError(ValueError):
     """Raised by parse_poly; carries the 0-based offset of the bad character."""
 
@@ -216,7 +221,8 @@ def parse_poly(text: str) -> IntPoly:
     """Parse polynomial text; raises PolySyntaxError with the bad offset.
 
     Whitespace may surround the text but not sit inside it; offsets index
-    the text as given.
+    the text as given.  An exponent above MAX_EXPONENT is refused at its
+    first digit, before any coefficient list is built.
 
     >>> parse_poly("2z+2z^3").coeffs
     (0, 2, 0, 2)
@@ -241,6 +247,8 @@ def parse_poly(text: str) -> IntPoly:
             raise PolySyntaxError(f"expected a term, found {found!r}", pos)
         coeff = _read_int(m, 2, PolySyntaxError) if m[2] else 1
         power = _read_int(m, 4, PolySyntaxError) if m[4] else 1 if m[3] else 0
+        if power > MAX_EXPONENT:
+            raise PolySyntaxError("exponent too large", m.start(4))
         coeffs[power] = coeffs.get(power, 0) + (-coeff if m[1] == "-" else coeff)
     top = max(coeffs)
     return IntPoly([coeffs.get(k, 0) for k in range(top + 1)])

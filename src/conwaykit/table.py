@@ -6,9 +6,9 @@ recomputes every polynomial with the skein engine and, by default, refuses
 to hand out entries that fail that cross-validation, so a transcription
 error in the data file cannot silently poison downstream checks.
 
-The table location can be overridden with the KNOT_TABLE environment
-variable or an explicit path argument, which is how the verification
-harness exercises its fault-injection path.
+The table location can be overridden with an explicit path argument or
+the KNOT_TABLE environment variable; the latter is the one override of
+the verification harness, and how its fault-injection path is exercised.
 """
 
 from __future__ import annotations

@@ -57,29 +57,13 @@ from .table import KnotTableEntry, TableError, check_entry, load_table
 
 
 class VerifyConfig(SimpleNamespace):
-    """Bounds, seed and sample sizes of one verification run."""
+    """Index bounds and seed of one verification run; the sweep sizes are
+    the module constants THEOREM_MAX_N, DIAGRAM_SAMPLES and PAIR_SAMPLES."""
 
     def __init__(
-        self,
-        max_n: int = 50,
-        max_l: int = 50,
-        max_r: int = 50,
-        theorem_max_n: int = 1000,
-        table_path: str | None = None,
-        seed: int = 20260817,
-        diagram_samples: int = 100,
-        pair_samples: int = 50,
+        self, max_n: int = 50, max_l: int = 50, max_r: int = 50, seed: int = 20260817
     ):
-        super().__init__(
-            max_n=max_n,
-            max_l=max_l,
-            max_r=max_r,
-            theorem_max_n=theorem_max_n,
-            table_path=table_path,
-            seed=seed,
-            diagram_samples=diagram_samples,
-            pair_samples=pair_samples,
-        )
+        super().__init__(max_n=max_n, max_l=max_l, max_r=max_r, seed=seed)
 
 
 class VerificationReport(NamedTuple):
@@ -309,7 +293,11 @@ def closed_form_crosscheck(
     ]
 
 
-# crossings of the property suite's random closures
+# the sum's bound, the property suite's closures and its knot pairs, and
+# the crossings of those closures
+THEOREM_MAX_N = 1000
+DIAGRAM_SAMPLES = 100
+PAIR_SAMPLES = 50
 MAX_RANDOM_CROSSINGS = 8
 
 
@@ -326,7 +314,7 @@ def random_closure(
 def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
     rng = random.Random(config.seed)
     ctx = SkeinContext()
-    samples = [random_closure(rng) for _ in range(config.diagram_samples)]
+    samples = [random_closure(rng) for _ in range(DIAGRAM_SAMPLES)]
     reports = []
 
     def tally(name: str, inputs: str, fails: list[str], total: int):
@@ -369,7 +357,7 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
     )
 
     fails, total = [], 0
-    while total < config.pair_samples:
+    while total < PAIR_SAMPLES:
         d1 = random_closure(rng, 6)
         d2 = random_closure(rng, 6)
         if len(components(d1)) != 1 or len(components(d2)) != 1:
@@ -380,7 +368,7 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
             fails.append(f"pair {total}")
     tally(
         "property_multiplicativity",
-        f"{config.pair_samples} random knot pairs <= 6 crossings",
+        f"{PAIR_SAMPLES} random knot pairs <= 6 crossings",
         fails,
         total,
     )
@@ -455,9 +443,11 @@ def _table_reports(
 def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
     """Run every check; never raises, failures become failed reports.
 
-    The table is loaded once; its checks share one SkeinContext.  A table
-    that cannot be loaded fails table_load and skips the chain and
-    closed-form checks; a table that loads must hold their entries.
+    The table (the packaged one, or the file KNOT_TABLE names) is loaded
+    once; its checks share one SkeinContext.  The sweep sizes are the
+    module constants.  A table that cannot be loaded fails table_load and
+    skips the chain and closed-form checks; a table that loads must hold
+    their entries.
     """
     if config is None:
         config = VerifyConfig()
@@ -471,7 +461,7 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
             reports.append(_report(name, "check raised", "no exception", raised))
 
     try:
-        table = load_table(config.table_path, validate=False)
+        table = load_table(validate=False)
     except TableError as exc:
         reports.append(_report("table_load", "reference table", "loadable", str(exc)))
     else:
@@ -480,7 +470,7 @@ def run_all(config: VerifyConfig | None = None) -> list[VerificationReport]:
         guarded("chain", k1_chain, table, ctx)
         guarded("closed_form", closed_form_crosscheck, table, ctx)
     guarded("recurrence", check_recurrences, config.max_n, config.max_l, config.max_r)
-    guarded("sum", theorem_sum_check, config.theorem_max_n)
+    guarded("sum", theorem_sum_check, THEOREM_MAX_N)
     guarded("property", _property_suite, config)
 
     return sorted(reports, key=lambda r: r.check_name)

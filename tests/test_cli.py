@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import shlex
@@ -19,19 +18,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-@pytest.fixture
-def small_verify(monkeypatch):
-    """`conwaykit verify` with the sum, the property sweeps and their pairs cut
-    short: the CLI sets only the three index bounds, and the default run is
-    covered by test_run_all_default_names_and_inputs."""
-    monkeypatch.setattr(
-        "conwaykit.verify.VerifyConfig",
-        functools.partial(
-            conwaykit.VerifyConfig, theorem_max_n=10, diagram_samples=5, pair_samples=3
-        ),
-    )
 
 
 def test_conway_unknot(capsys):
@@ -188,7 +174,7 @@ def test_usage_errors(capsys):
     assert run(capsys, "--help")[0] == 0
 
 
-def test_verify_text(capsys, small_verify):
+def test_verify_text(capsys, small_sweeps):
     code, out, _ = run(
         capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2"
     )
@@ -199,7 +185,7 @@ def test_verify_text(capsys, small_verify):
     assert len(lines) >= 21
 
 
-def test_verify_verbose_counts_checks_on_stderr(capsys, small_verify):
+def test_verify_verbose_counts_checks_on_stderr(capsys, small_sweeps):
     code, out, err = run(
         capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2", "--verbose"
     )
@@ -208,7 +194,7 @@ def test_verify_verbose_counts_checks_on_stderr(capsys, small_verify):
     assert err.strip().splitlines()[-1] == "35 checks, 0 failed"
 
 
-def test_verify_json(capsys, small_verify):
+def test_verify_json(capsys, small_sweeps):
     code, out, _ = run(
         capsys, "verify", "--max-n", "2", "--max-l", "2", "--max-r", "2",
         "--format", "json",
@@ -221,7 +207,7 @@ def test_verify_json(capsys, small_verify):
     assert all(list(r) == keys for r in reports)
 
 
-def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch, small_verify):
+def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch, small_sweeps):
     from conwaykit.table import default_table_path
 
     monkeypatch.delenv("KNOT_TABLE", raising=False)
@@ -240,10 +226,13 @@ def test_verify_corrupted_table_env(capsys, tmp_path, monkeypatch, small_verify)
 
 @pytest.mark.parametrize(
     "data",
-    [b"[\xff]", b"[" * 100_000, b"[%s]" % (b"1" * 5000)],
-    ids=["not-utf-8", "nested-100000-deep", "int-of-5000-digits"],
+    [
+        b"[\xff]", b"[" * 100_000, b"[%s]" % (b"1" * 5000),
+        b'[{"name": "x", "pd": "O", "conway": "z^1000000000", "components": 1}]',
+    ],
+    ids=["not-utf-8", "nested-100000-deep", "int-of-5000-digits", "exponent-too-large"],
 )
-def test_verify_unreadable_table_env(capsys, tmp_path, monkeypatch, small_verify, data):
+def test_verify_unreadable_table_env(capsys, tmp_path, monkeypatch, small_sweeps, data):
     p = tmp_path / "bad.json"
     p.write_bytes(data)
     monkeypatch.setenv("KNOT_TABLE", str(p))
@@ -290,7 +279,7 @@ def test_verify_passes_only_the_bounds_given(capsys, monkeypatch):
 
 
 def test_verify_fails_table_without_chain_entries(
-    capsys, tmp_path, monkeypatch, small_verify
+    capsys, tmp_path, monkeypatch, small_sweeps
 ):
     p = tmp_path / "empty.json"
     p.write_text("[]")

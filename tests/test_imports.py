@@ -63,9 +63,11 @@ import sys
 import conwaykit
 import conwaykit.cli
 
-config = conwaykit.VerifyConfig(
-    max_n=2, max_l=2, max_r=2, theorem_max_n=2, diagram_samples=3, pair_samples=2
-)
+# the sweeps cut short, as the tests' small_sweeps fixture does
+conwaykit.verify.THEOREM_MAX_N = 2
+conwaykit.verify.DIAGRAM_SAMPLES = 3
+conwaykit.verify.PAIR_SAMPLES = 2
+config = conwaykit.VerifyConfig(max_n=2, max_l=2, max_r=2)
 assert all(r.passed for r in conwaykit.run_all(config))
 assert "dataclasses" not in sys.modules
 print("verify ok")

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
-from conwaykit.poly import IntPoly, PolySyntaxError, format_poly, parse_poly
+from conwaykit.poly import MAX_EXPONENT, IntPoly, PolySyntaxError, format_poly, parse_poly
 
 
 def P(text: str) -> IntPoly:
@@ -207,6 +208,23 @@ def test_syntax_errors_carry_position():
         with pytest.raises(PolySyntaxError) as exc:
             parse_poly(text)
         assert exc.value.position == pos
+
+
+def test_exponent_bound_refuses_before_allocating():
+    assert parse_poly(f"z^{MAX_EXPONENT}").degree == MAX_EXPONENT
+    with pytest.raises(PolySyntaxError, match="exponent too large") as exc:
+        parse_poly(f"1+z^{MAX_EXPONENT + 1}")
+    assert exc.value.position == 4
+    # a dense list of 10^9 + 1 coefficients would take about 8 GB
+    tracemalloc.start()
+    try:
+        with pytest.raises(PolySyntaxError, match="exponent too large") as exc:
+            parse_poly("z^1000000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.position == 2
+    assert peak < 1 << 20
 
 
 def test_parse_rejects_stray_suffix():

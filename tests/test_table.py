@@ -115,6 +115,9 @@ def test_structural_errors(tmp_path):
         "conway of 5000 digits": (
             '[{"name": "x", "pd": "O", "conway": "%s", "components": 1}]' % ("9" * 5000)
         ),
+        "exponent too large": (
+            '[{"name": "x", "pd": "O", "conway": "z^1000000000", "components": 1}]'
+        ),
     }
     for label, text in cases.items():
         p = tmp_path / f"{abs(hash(label))}.json"

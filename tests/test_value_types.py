@@ -150,10 +150,12 @@ def test_verify_config():
     from conwaykit import VerifyConfig
 
     config = VerifyConfig(max_n=3, seed=7)
-    assert repr(config) == (
-        "VerifyConfig(max_n=3, max_l=50, max_r=50, theorem_max_n=1000, "
-        "table_path=None, seed=7, diagram_samples=100, pair_samples=50)"
-    )
+    assert repr(config) == "VerifyConfig(max_n=3, max_l=50, max_r=50, seed=7)"
+    # the sweep sizes are constants of conwaykit.verify, and KNOT_TABLE names
+    # the table
+    for name in ("theorem_max_n", "table_path", "diagram_samples", "pair_samples"):
+        with pytest.raises(TypeError):
+            VerifyConfig(**{name: None})
     assert VerifyConfig() == VerifyConfig() and config != VerifyConfig()
     assert pickle.loads(pickle.dumps(config)) == config == copy.deepcopy(config)
     config.max_n = 50

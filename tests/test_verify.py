@@ -147,17 +147,10 @@ def test_random_closure_deterministic():
     assert a == b
 
 
-SMALL = dict(
-    max_n=3,
-    max_l=3,
-    max_r=3,
-    theorem_max_n=20,
-    diagram_samples=12,
-    pair_samples=4,
-)
+SMALL = dict(max_n=3, max_l=3, max_r=3)
 
 
-def test_run_all_passes_and_is_sorted():
+def test_run_all_passes_and_is_sorted(small_sweeps):
     reports = run_all(VerifyConfig(**SMALL))
     assert len(reports) >= 20
     assert all(r.passed for r in reports), [
@@ -168,20 +161,23 @@ def test_run_all_passes_and_is_sorted():
     assert sum(r.check_name.startswith("table_") for r in reports) == 7
 
 
-def test_run_all_flags_corrupted_entry(tmp_path):
+def test_run_all_flags_corrupted_entry(tmp_path, monkeypatch, small_sweeps):
+    monkeypatch.delenv("KNOT_TABLE", raising=False)
     raw = json.loads(default_table_path().read_text())
     next(e for e in raw if e["name"] == "5_2")["conway"] = "1+9z^2"
     p = tmp_path / "bad.json"
     p.write_text(json.dumps(raw))
-    reports = run_all(VerifyConfig(table_path=str(p), **SMALL))
+    monkeypatch.setenv("KNOT_TABLE", str(p))
+    reports = run_all(VerifyConfig(**SMALL))
     failed = [r for r in reports if not r.passed]
     assert [r.check_name for r in failed] == ["table_5_2"]
     assert "1+9z^2" in failed[0].expected
     assert "1+2z^2" in failed[0].computed
 
 
-def test_run_all_survives_missing_table():
-    reports = run_all(VerifyConfig(table_path="/nonexistent/t.json", **SMALL))
+def test_run_all_survives_missing_table(monkeypatch, small_sweeps):
+    monkeypatch.setenv("KNOT_TABLE", "/nonexistent/t.json")
+    reports = run_all(VerifyConfig(**SMALL))
     failed = [r for r in reports if not r.passed]
     assert len(failed) == 1
     assert failed[0].check_name == "table_load"
@@ -192,23 +188,18 @@ def test_run_all_survives_missing_table():
     assert not any(n.startswith("chain_") for n in names)
 
 
-def test_run_all_fails_table_without_chain_entries(tmp_path):
+def test_run_all_fails_table_without_chain_entries(tmp_path, monkeypatch, small_sweeps):
     # a table that loads but lacks the chain entries must not pass quietly
     p = tmp_path / "empty.json"
     p.write_text("[]")
-    reports = run_all(VerifyConfig(table_path=str(p), **SMALL))
+    monkeypatch.setenv("KNOT_TABLE", str(p))
+    reports = run_all(VerifyConfig(**SMALL))
     failed = {r.check_name: r.computed for r in reports if not r.passed}
     assert failed == {
         "chain": "TableError: table lacks entries: 8_19, 3_1, L6a1{1}, 10_148",
         "closed_form": "TableError: table lacks entry 8_19",
     }
     assert any(r.check_name == "table_load" and r.passed for r in reports)
-
-
-def test_run_all_passes_the_sum_bound_as_given():
-    reports = run_all(VerifyConfig(**{**SMALL, "theorem_max_n": 1}))
-    failed = {r.check_name: (r.inputs, r.computed) for r in reports if not r.passed}
-    assert failed == {"sum": ("check raised", "ValueError: max_n must be >= 2")}
 
 
 # (family, perturbation, box) -> computed strings of the six recurrence
@@ -319,7 +310,7 @@ def _plus_if(term, wanted):
 
 
 # verify attribute, real -> faulty stand-in, and the computed strings of
-# the property reports that then fail, for the SMALL sample sizes
+# the property reports that then fail, for the small_sweeps sample sizes
 PROPERTY_FAULTS = {
     "skein_identity": (
         "check_skein_identity", lambda real: lambda d, x, ctx: x != d.crossings[-1],
@@ -370,7 +361,7 @@ PROPERTY_FAULTS = {
 @pytest.mark.parametrize(
     "name,fault,failed", PROPERTY_FAULTS.values(), ids=list(PROPERTY_FAULTS)
 )
-def test_property_failure_strings(monkeypatch, name, fault, failed):
+def test_property_failure_strings(monkeypatch, small_sweeps, name, fault, failed):
     from conwaykit import verify
 
     monkeypatch.setattr(verify, name, fault(getattr(verify, name)))
@@ -445,7 +436,7 @@ def test_run_all_default_names_and_inputs():
     ]
 
 
-def test_property_inputs_count_the_closures_they_sweep():
+def test_property_inputs_count_the_closures_they_sweep(small_sweeps):
     # the relabeling and reduction sweeps cover samples[:50] and [:30];
     # with 12 samples the inputs must say 12, not 50 and 30
     inputs = {r.check_name: r.inputs for r in run_all(VerifyConfig(**SMALL))}
