@@ -1,7 +1,7 @@
 """Command line front end.
 
 Subcommands compute invariants of a PD-coded diagram (conway, a2, lk),
-evaluate the torus-link recurrence and the knot-family product (torus,
+evaluate the torus-link closed form and the knot-family product (torus,
 kn), or run the full verification harness (verify).  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success / all checks
 passed, 1 failed verification, exhausted node budget or a broken engine

@@ -28,8 +28,8 @@ from __future__ import annotations
 __all__ = [
     "Crossing", "Diagram", "PDSyntaxError", "PDValidationError", "canonical_code",
     "components", "connected_sum", "disjoint_union", "is_graph_connected",
-    "linking_number", "meridian_link", "mirror", "parse_pd", "pd_text", "reduce",
-    "smooth_crossing", "switch_crossing", "torus2_diagram", "writhe",
+    "linking_number", "mirror", "parse_pd", "pd_text", "reduce", "smooth_crossing",
+    "switch_crossing", "torus2_diagram",
 ]
 
 import re
@@ -84,15 +84,8 @@ class Crossing(NamedTuple):
         return self.b if self.over_in == "b" else self.d
 
     @property
-    def over_out_arc(self) -> int:
-        return self.d if self.over_in == "b" else self.b
-
-    @property
     def sign(self) -> int:
         return 1 if self.over_in == "d" else -1
-
-    def slots(self) -> tuple[int, int, int, int]:
-        return (self.a, self.b, self.c, self.d)
 
 
 # Crossing from a tuple of its fields, without the NamedTuple __new__
@@ -380,11 +373,6 @@ def components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     return d._cycles + ((),) * d.free_loops
 
 
-def writhe(d: Diagram) -> int:
-    """Sum of crossing signs."""
-    return sum(x.sign for x in d.crossings)
-
-
 def linking_number(d: Diagram, c1: int, c2: int) -> int:
     """Half the signed count of crossings between components c1 and c2.
 
@@ -666,17 +654,6 @@ def disjoint_union(d1: Diagram, d2: Diagram) -> Diagram:
     return _diagram(d1.crossings + shifted.crossings, d1.free_loops + d2.free_loops)
 
 
-def _redirect(d: Diagram, ends: dict[int, int]) -> Diagram:
-    """d with ends[arc] in the slot where each arc of ends arrives."""
-    end = d._passes[0]
-    xs = list(d.crossings)
-    for arc, new_arc in ends.items():
-        p = end[arc]  # the pass arc arrives at: 2*i + 1 under, 2*i over
-        x = xs[p >> 1]
-        xs[p >> 1] = x._replace(**{"a" if p & 1 else x.over_in: new_arc})
-    return _diagram(tuple(xs), d.free_loops)
-
-
 def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
     """Splice two knot diagrams along the chosen arcs, respecting orientation.
 
@@ -689,37 +666,16 @@ def connected_sum(d1: Diagram, arc1: int, d2: Diagram, arc2: int) -> Diagram:
         if arc.__class__ is not int or arc not in d.arcs():  # True == 1, no label
             raise ValueError(f"arc {arc!r} not present in the {which} operand")
     arc2 += max(d1.arcs(), default=0)  # its label in the union
-    # cut arc1 (runs S1->E1) and arc2 (S2->E2); rejoin S1->E2 and S2->E1
-    return _redirect(disjoint_union(d1, d2), {arc1: arc2, arc2: arc1})
-
-
-def meridian_link(d: Diagram, arc: int | None = None) -> Diagram:
-    """Add a small circle clasping one arc of a knot diagram once (lk = +1).
-
-    The circle crosses the strand twice, once over and once under, with both
-    crossings positive.  For the crossingless unknot the free loop itself is
-    materialized as the clasped strand.
-    """
-    if len(components(d)) != 1:
-        raise ValueError("meridian_link needs a knot diagram")
-    if not d.crossings:
-        # the unknot 'O': the result is a positive Hopf diagram
-        return _diagram(
-            (Crossing(4, 2, 3, 1, "d"), Crossing(2, 4, 1, 3, "d")),
-            d.free_loops - 1,
-        )
-    if arc is None:
-        arc = min(d.arcs())
-    if arc.__class__ is not int or arc not in d.arcs():  # True == 1, no label
-        raise ValueError(f"arc {arc!r} not present in the diagram")
-    base = max(d.arcs())
-    u, w, p, q = base + 1, base + 2, base + 3, base + 4
-    out = _redirect(d, {arc: w})
-    strand_enters_under = Crossing(u, q, w, p, "d")  # strand under, circle over
-    strand_enters_over = Crossing(q, u, p, arc, "d")  # strand over, circle under
-    return _diagram(
-        out.crossings + (strand_enters_over, strand_enters_under), out.free_loops
-    )
+    union = disjoint_union(d1, d2)
+    end = union._passes[0]
+    xs = list(union.crossings)
+    # cut arc1 (runs S1->E1) and arc2 (S2->E2); rejoin S1->E2 and S2->E1:
+    # each arc's end slot takes the other's label
+    for arc, new_arc in ((arc1, arc2), (arc2, arc1)):
+        p = end[arc]  # the pass arc arrives at: 2*i + 1 under, 2*i over
+        x = xs[p >> 1]
+        xs[p >> 1] = x._replace(**{"a" if p & 1 else x.over_in: new_arc})
+    return _diagram(tuple(xs), union.free_loops)
 
 
 def _braid_closure(word: Iterable[int], strands: int) -> Diagram:
@@ -767,20 +723,3 @@ def torus2_diagram(m: int) -> Diagram:
     if m < 1:
         raise ValueError("m must be >= 1")
     return _braid_closure([1] * m, 2)
-
-
-def _reverse_component(d: Diagram, comp: int) -> Diagram:
-    """Reverse the orientation of one component (ingestion/testing helper)."""
-    cycles = components(d)
-    if not (0 <= comp < len(cycles)):
-        raise ValueError("component index out of range")
-    arcs = set(cycles[comp])
-    out: list[Crossing] = []
-    for x in d.crossings:
-        a, b, c, d_, over_in = x
-        if (a in arcs) != (x.over_in_arc in arcs):
-            over_in = "b" if over_in == "d" else "d"  # one strand turns: the sign flips
-        if a in arcs:
-            a, b, c, d_ = c, d_, a, b  # the understrand now enters at c
-        out.append(Crossing(a, b, c, d_, over_in))
-    return _diagram(tuple(out), d.free_loops)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 __all__ = [
     "NodeBudgetExceeded", "SkeinContext", "SkeinInvariantError", "a2",
-    "check_a2_skein", "check_skein_identity", "conway", "conway_Kn", "conway_torus2",
+    "check_skein_identity", "conway", "conway_Kn", "conway_torus2",
 ]
 
 from .diagram import (
@@ -32,7 +32,6 @@ from .diagram import (
     canonical_code,
     components,
     is_graph_connected,
-    linking_number,
     reduce as _reduce,
     smooth_crossing,
     switch_crossing,
@@ -156,16 +155,19 @@ def conway(d: Diagram, ctx: SkeinContext | None = None) -> IntPoly:
 
 def conway_torus2(m: int) -> IntPoly:
     """Closed form for the closure of the 2-strand braid with m positive
-    crossings: P(0) = 0, P(1) = 1, P(m) = z*P(m-1) + P(m-2)."""
+    crossings, the solution of P(0) = 0, P(1) = 1, P(m) = z*P(m-1) + P(m-2):
+    the coefficient of z^(m-1-2k) is C(m-1-k, k), each one the last times
+    an exact ratio: one integer step per coefficient."""
     if m < 0:
         raise ValueError("m must be >= 0")
-    prev, cur = IntPoly.zero(), IntPoly.one()
-    if m == 0:
-        return prev
-    z = IntPoly.z()
-    for _ in range(m - 1):
-        prev, cur = cur, z * cur + prev
-    return cur
+    coeffs = [0] * m
+    c = 1
+    for k in range((m + 1) // 2):
+        if k:
+            # C(m-1-k, k) from C(m-k, k-1)
+            c = c * ((m + 1 - 2 * k) * (m - 2 * k)) // (k * (m - k))
+        coeffs[m - 1 - 2 * k] = c
+    return IntPoly(coeffs)
 
 
 def conway_Kn(n: int) -> IntPoly:
@@ -198,24 +200,3 @@ def check_skein_identity(
     left = conway(plus, ctx) - conway(minus, ctx)
     right = conway(smooth_crossing(d, x), ctx).shift(1)
     return left == right
-
-
-def check_a2_skein(
-    d_plus: Diagram, x: Crossing, ctx: SkeinContext | None = None
-) -> bool:
-    """Verify a2(K+) - a2(K-) = lk(L0) at a positive crossing of a knot.
-
-    Smoothing a self-crossing of a knot always splits it into a
-    two-component link (at a kink the second component is a free loop),
-    whose linking number the identity predicts as the drop in a2 under the
-    crossing change.
-    """
-    if len(components(d_plus)) != 1:
-        raise ValueError("expected a knot diagram")
-    if x.sign != 1:
-        raise ValueError("expected a positive crossing")
-    if ctx is None:
-        ctx = SkeinContext()
-    smoothed = smooth_crossing(d_plus, x)
-    drop = a2(d_plus, ctx) - a2(switch_crossing(d_plus, x), ctx)
-    return drop == linking_number(smoothed, 0, 1)

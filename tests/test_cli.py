@@ -57,6 +57,16 @@ def test_torus_edge_values(capsys):
     assert "error:" in err
 
 
+def test_torus_result_too_long_to_print_is_a_usage_error(capsys):
+    # the largest coefficients of m = 21000 have more digits than Python
+    # converts to text by default; the closed form reaches that in well
+    # under a second, and the refusal is one line, not a traceback
+    code, out, err = run(capsys, "torus", "--m", "21000")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_kn(capsys):
     code, out, _ = run(capsys, "kn", "--n", "1")
     assert (code, out) == (0, "1+4z^2+4z^4+z^6\n")

@@ -23,14 +23,12 @@ from conwaykit.diagram import (
     UNKNOT,
     _braid_closure,
     _relabel,
-    _reverse_component,
     canonical_code,
     components,
     connected_sum,
     disjoint_union,
     is_graph_connected,
     linking_number,
-    meridian_link,
     mirror,
     parse_pd,
     pd_text,
@@ -38,10 +36,11 @@ from conwaykit.diagram import (
     smooth_crossing,
     switch_crossing,
     torus2_diagram,
-    writhe,
 )
 from conwaykit.poly import IntPoly
 from conwaykit.skein import conway
+
+from knot_helpers import over_out_arc, reverse_component, writhe
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"  # standard table code, writhe -3
 
@@ -136,7 +135,7 @@ def test_mutation_sweep_rejected():
     rejected = 0
     for _ in range(50):
         d = parse_pd(base)
-        labels = [str(n) for x in d.crossings for n in x.slots()]
+        labels = [str(n) for x in d.crossings for n in x[:4]]
         i = rng.randrange(len(labels))
         if rng.random() < 0.5:
             labels[i] = "9"  # duplicate an existing label / orphan another
@@ -196,16 +195,9 @@ def test_linking_number_argument_errors():
 
 def test_reverse_component_negates_linking():
     hopf = torus2_diagram(2)
-    rev = _reverse_component(hopf, 0)
+    rev = reverse_component(hopf, 0)
     assert linking_number(rev, 0, 1) == -1
-    assert _reverse_component(rev, 0) == hopf
-
-
-def test_reverse_component_refuses_bad_index():
-    hopf = torus2_diagram(2)
-    for comp in (-1, 2):
-        with pytest.raises(ValueError, match="component index out of range"):
-            _reverse_component(hopf, comp)
+    assert reverse_component(rev, 0) == hopf
 
 
 # -- moves ----------------------------------------------------------------------
@@ -391,7 +383,7 @@ def test_canonical_code_keeps_every_over_direction():
             # the docstring's rule: the over-out arc follows the over-in arc
             wrap = {cycle[-1]: cycle[0] for cycle in components(walked) if cycle}
             for x in walked.crossings:
-                assert x.over_out_arc == wrap.get(x.over_in_arc, x.over_in_arc + 1)
+                assert over_out_arc(x) == wrap.get(x.over_in_arc, x.over_in_arc + 1)
             parsed = parse_pd(canonical_code(e))
             unders = {x.a for x in walked.crossings}
             # a component that passes under nowhere records no direction in
@@ -439,33 +431,6 @@ def test_connected_sum_rejects_links_and_bad_arcs():
         connected_sum(t, 99, t, 1)
     with pytest.raises(ValueError):
         connected_sum(UNKNOT, 1, t, 1)  # bare loop has no arc to cut
-
-
-def test_meridian_of_unknot_is_positive_hopf():
-    m = meridian_link(UNKNOT)
-    assert len(m.crossings) == 2
-    assert len(components(m)) == 2
-    assert [x.sign for x in m.crossings] == [1, 1]
-    assert linking_number(m, 0, 1) == 1
-
-
-def test_meridian_always_links_once():
-    t = parse_pd(TREFOIL_PD)
-    for arc in sorted(t.arcs()):
-        m = meridian_link(t, arc)
-        assert len(components(m)) == 2
-        comps = components(m)
-        knot_arcs = set(comps[0]) | set(comps[1])
-        assert len(m.crossings) == len(t.crossings) + 2
-        # the circle is the component made of the two fresh arcs
-        fresh = [i for i, c in enumerate(comps) if not set(c) & t.arcs()]
-        assert len(fresh) == 1
-        assert linking_number(m, 0, 1) == 1
-        assert knot_arcs  # silence unused warnings in older pytest
-    with pytest.raises(ValueError):
-        meridian_link(torus2_diagram(2))
-    with pytest.raises(ValueError):
-        meridian_link(t, 999)
 
 
 def test_braid_closure_free_strands_become_loops():

@@ -36,6 +36,8 @@ from conwaykit.diagram import (
 )
 from conwaykit.skein import SkeinContext, conway
 
+from knot_helpers import over_out_arc
+
 # -- reference implementations ----------------------------------------------------
 
 
@@ -43,7 +45,7 @@ def ref_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     succ: dict[int, int] = {}
     for x in d.crossings:
         succ[x.a] = x.c
-        succ[x.over_in_arc] = x.over_out_arc
+        succ[x.over_in_arc] = over_out_arc(x)
     seen: set[int] = set()
     cycles: list[tuple[int, ...]] = []
     for start in sorted(succ):
@@ -102,7 +104,7 @@ def ref_remove_crossings(d: Diagram, gone: set[int], bridges: dict[int, int]) ->
 
 def ref_smooth(d: Diagram, i: int) -> Diagram:
     x = d.crossings[i]
-    return ref_remove_crossings(d, {i}, {x.a: x.over_out_arc, x.over_in_arc: x.c})
+    return ref_remove_crossings(d, {i}, {x.a: over_out_arc(x), x.over_in_arc: x.c})
 
 
 def ref_unsettled(d: Diagram, i: int) -> frozenset[int] | None:
@@ -110,14 +112,14 @@ def ref_unsettled(d: Diagram, i: int) -> frozenset[int] | None:
     crossing that shares an arc with i, plus whatever d left unsettled."""
     if d._unsettled is None:
         return None
-    arcs = set(d.crossings[i].slots())
-    near = {j for j, y in enumerate(d.crossings) if arcs & set(y.slots())}
+    arcs = set(d.crossings[i][:4])
+    near = {j for j, y in enumerate(d.crossings) if arcs & set(y[:4])}
     return frozenset(j - (j > i) for j in (near | d._unsettled) - {i})
 
 
 def ref_r1_index(d: Diagram) -> int | None:
     for i, x in enumerate(d.crossings):
-        if x.c == x.over_in_arc or x.a == x.over_out_arc:
+        if x.c == x.over_in_arc or x.a == over_out_arc(x):
             return i
     return None
 
@@ -129,7 +131,7 @@ def ref_r2_pair(d: Diagram) -> tuple[int, int] | None:
             if x.sign == y.sign:
                 continue
             over_direct = (
-                x.over_out_arc == y.over_in_arc or y.over_out_arc == x.over_in_arc
+                over_out_arc(x) == y.over_in_arc or over_out_arc(y) == x.over_in_arc
             )
             under_direct = x.c == y.a or y.c == x.a
             if over_direct and under_direct:
@@ -142,15 +144,15 @@ def ref_reduce(d: Diagram) -> Diagram:
         i = ref_r1_index(d)
         if i is not None:
             x = d.crossings[i]
-            d = ref_remove_crossings(d, {i}, {x.a: x.c, x.over_in_arc: x.over_out_arc})
+            d = ref_remove_crossings(d, {i}, {x.a: x.c, x.over_in_arc: over_out_arc(x)})
             continue
         pair = ref_r2_pair(d)
         if pair is not None:
             i, j = pair
             x, y = d.crossings[i], d.crossings[j]
             bridges = {x.a: x.c, y.a: y.c}
-            bridges[x.over_in_arc] = x.over_out_arc
-            bridges[y.over_in_arc] = y.over_out_arc
+            bridges[x.over_in_arc] = over_out_arc(x)
+            bridges[y.over_in_arc] = over_out_arc(y)
             d = ref_remove_crossings(d, {i, j}, bridges)
             continue
         return d
@@ -173,7 +175,7 @@ def ref_is_graph_connected(d: Diagram) -> bool:
         return v
 
     for i, x in enumerate(d.crossings):
-        for arc in x.slots():
+        for arc in x[:4]:
             if arc in arc_home:
                 ri, rj = find(arc_home[arc]), find(i)
                 parent[ri] = rj
@@ -261,7 +263,7 @@ def arc_shape(x: Crossing) -> tuple[bool, bool, bool, bool]:
     """Which arcs of x coincide: the two kinks a == over-out and
     over-in == c, then the strand loops over-in == over-out and a == c
     (which planar diagrams never have)."""
-    oi, oo = x.over_in_arc, x.over_out_arc
+    oi, oo = x.over_in_arc, over_out_arc(x)
     return (x.a == oo, oi == x.c, oi == oo, x.a == x.c)
 
 

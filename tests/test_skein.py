@@ -1,10 +1,10 @@
 """Skein engine tests.
 
 Anchor values are independent of the engine: torus closures obey the
-two-term recurrence implemented in conway_torus2, the figure-eight value
-1-z^2 and trefoil value 1+z^2 are standard, and the structural laws
-(parity, a1 = lk, multiplicativity, split vanishing) are checked on
-seeded random braid closures.
+two-term recurrence that conway_torus2 solves in closed form, the
+figure-eight value 1-z^2 and trefoil value 1+z^2 are standard, and the
+structural laws (parity, a1 = lk, multiplicativity, split vanishing) are
+checked on seeded random braid closures.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from conwaykit.diagram import (
     UNKNOT,
     _braid_closure,
     _relabel,
-    _reverse_component,
     components,
     connected_sum,
     disjoint_union,
@@ -40,13 +39,19 @@ from conwaykit.skein import (
     SkeinContext,
     SkeinInvariantError,
     a2,
-    check_a2_skein,
     check_skein_identity,
     conway,
     conway_Kn,
     conway_torus2,
 )
 from conwaykit.verify import random_closure
+
+from knot_helpers import (
+    check_a2_skein,
+    conway_torus2_recurrence,
+    meridian_link,
+    reverse_component,
+)
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
 
@@ -67,8 +72,8 @@ def test_hopf_orientations():
     z = IntPoly.z()
     assert conway(hopf) == z
     assert conway(mirror(hopf)) == -z
-    assert conway(_reverse_component(hopf, 0)) == -z
-    assert conway(_reverse_component(hopf, 1)) == -z
+    assert conway(reverse_component(hopf, 0)) == -z
+    assert conway(reverse_component(hopf, 1)) == -z
 
 
 def test_small_knots():
@@ -106,6 +111,11 @@ def test_conway_torus2_recurrence_values():
     assert conway_torus2(7) == parse_poly("1+6z^2+5z^4+z^6")
     with pytest.raises(ValueError):
         conway_torus2(-1)
+
+
+def test_conway_torus2_closed_form_matches_the_recurrence():
+    for m, value in enumerate(conway_torus2_recurrence(2000)):
+        assert conway_torus2(m) == value, m
 
 
 def test_oracle_equivalence_through_m_11():
@@ -195,13 +205,14 @@ def test_parity_and_linking_on_random_closures():
 
 
 def test_meridian_linking_value():
-    from conwaykit.diagram import meridian_link
-
-    t = torus2_diagram(3)
-    m = meridian_link(t, 1)
-    p = conway(m, SkeinContext())
-    assert p.coeff(1) == 1  # a1 = lk = +1 by construction
-    assert p.parity() == "odd"
+    knots = ((UNKNOT, None), (torus2_diagram(3), 1), (parse_pd(TREFOIL_PD), 5))
+    for knot, arc in knots:
+        m = meridian_link(knot, arc)
+        assert len(components(m)) == 2
+        assert linking_number(m, 0, 1) == 1
+        p = conway(m, SkeinContext())
+        assert p.coeff(1) == 1  # a1 = lk = +1 by construction
+        assert p.parity() == "odd"
 
 
 # -- invariance --------------------------------------------------------------------
@@ -291,20 +302,13 @@ def test_a2_skein_random_positive_crossings():
 
 
 def test_a2_skein_preconditions():
-    tref = parse_pd(TREFOIL_PD)  # all crossings negative
-    with pytest.raises(ValueError):
-        check_a2_skein(tref, tref.crossings[0])
-    hopf = torus2_diagram(2)
-    with pytest.raises(ValueError):
-        check_a2_skein(hopf, hopf.crossings[0])
-    with pytest.raises(ValueError):
-        a2(hopf)
+    with pytest.raises(ValueError, match="knot diagrams only"):
+        a2(torus2_diagram(2))
 
 
 def test_identity_checks_make_their_own_context():
     t5 = torus2_diagram(5)
     assert all(check_skein_identity(t5, x) for x in t5.crossings)
-    assert all(check_a2_skein(t5, x) for x in t5.crossings)
 
 
 # -- context bookkeeping -------------------------------------------------------------
