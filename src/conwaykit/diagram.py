@@ -38,15 +38,11 @@ from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple
 
-from .poly import _read_int
+from .poly import _PositionedError, _read_int
 
 
-class PDSyntaxError(ValueError):
+class PDSyntaxError(_PositionedError):
     """Malformed PD text; carries the 0-based offset of the bad character."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
 
 
 class PDValidationError(ValueError):
@@ -228,9 +224,6 @@ def _diagram(crossings: tuple[Crossing, ...], free_loops: int) -> Diagram:
 # memo keys print arc positions from these: "%s" of a str is several times
 # cheaper than "%d" of an int (diagrams past 128 crossings make their own)
 _LABELS = tuple(map(str, range(1, 257)))
-
-
-UNKNOT = _diagram((), 1)
 
 
 # -- parsing and validation --------------------------------------------------

@@ -26,7 +26,8 @@ from __future__ import annotations
 __all__ = ["IntPoly", "PolySyntaxError", "format_poly", "parse_poly"]
 
 import re
-from typing import Iterable, Iterator
+import sys
+from typing import Iterable
 
 
 # the largest exponent parse_poly accepts: the dense coefficient list it
@@ -34,12 +35,16 @@ from typing import Iterable, Iterator
 MAX_EXPONENT = 100_000
 
 
-class PolySyntaxError(ValueError):
-    """Raised by parse_poly; carries the 0-based offset of the bad character."""
+class _PositionedError(ValueError):
+    """A syntax error that carries the 0-based offset of the bad character."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class PolySyntaxError(_PositionedError):
+    """Raised by parse_poly; carries the 0-based offset of the bad character."""
 
 
 class IntPoly:
@@ -76,20 +81,6 @@ class IntPoly:
 
     def __hash__(self) -> int:
         return hash((self.coeffs,))
-
-    # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero() -> IntPoly:
-        return IntPoly()
-
-    @staticmethod
-    def one() -> IntPoly:
-        return IntPoly((1,))
-
-    @staticmethod
-    def z() -> IntPoly:
-        return IntPoly((0, 1))
 
     # -- ring operations ---------------------------------------------------
 
@@ -153,21 +144,10 @@ class IntPoly:
             raise ValueError("coefficient index must be >= 0")
         return self.coeffs[k] if k < len(self.coeffs) else 0
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
     def parity(self) -> str:
         """Which powers carry nonzero coefficients: even, odd, mixed or zero."""
         even, odd = any(self.coeffs[0::2]), any(self.coeffs[1::2])
         return "mixed" if even and odd else "even" if even else "odd" if odd else "zero"
-
-    def terms(self) -> Iterator[tuple[int, int]]:
-        """Yield (exponent, coefficient) for nonzero terms, ascending."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                yield k, c
 
     def __str__(self) -> str:
         return format_poly(self)
@@ -192,6 +172,8 @@ def _exact(cs: list[int]) -> IntPoly:
 def format_poly(p: IntPoly) -> str:
     """Canonical text: ascending powers, 'z^2' style, '0' for zero.
 
+    A coefficient longer than sys.get_int_max_str_digits() raises ValueError.
+
     >>> format_poly(IntPoly((1, 0, 4, 0, 3, 0, 1)))
     '1+4z^2+3z^4+z^6'
     >>> format_poly(IntPoly((0, -2, 0, 1)))
@@ -200,13 +182,17 @@ def format_poly(p: IntPoly) -> str:
     '0'
     """
     parts: list[str] = []
-    for k, c in p.terms():
-        mag = abs(c)
-        if k == 0:
-            body = str(mag)
-        else:
-            var = "z" if k == 1 else f"z^{k}"
-            body = var if mag == 1 else f"{mag}{var}"
+    for k, c in enumerate(p.coeffs):
+        if not c:
+            continue
+        try:
+            digits = str(abs(c))
+        except ValueError:  # Python's text asks for sys.set_int_max_str_digits()
+            limit = sys.get_int_max_str_digits()  # only Pythons with a limit get here
+            msg = f"cannot print the coefficient of z^{k}: it has over {limit} digits"
+            raise ValueError(msg) from None
+        var = "" if k == 0 else "z" if k == 1 else f"z^{k}"
+        body = var if var and digits == "1" else digits + var
         parts.append(("+" if c > 0 else "-") + body)
     return "".join(parts).removeprefix("+") or "0"
 

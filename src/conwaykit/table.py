@@ -85,6 +85,11 @@ def _parse_entries(raw: object, source: str) -> dict[str, KnotTableEntry]:
     return entries
 
 
+def _describe(poly: IntPoly, components: int) -> str:
+    """An entry's values as check_entry, load_table and verify print them."""
+    return f"{format_poly(poly)} with {components} component(s)"
+
+
 def check_entry(
     entry: KnotTableEntry, ctx: SkeinContext | None = None
 ) -> tuple[bool, str]:
@@ -98,7 +103,7 @@ def check_entry(
     ncomp = len(components(d))
     value = conway(d, ctx)
     ok = value == entry.conway and ncomp == entry.components
-    return ok, f"{format_poly(value)} with {ncomp} component(s)"
+    return ok, _describe(value, ncomp)
 
 
 def load_table(
@@ -127,10 +132,8 @@ def load_table(
         for entry in entries.values():
             ok, got = check_entry(entry, ctx)
             if not ok:
-                bad.append(
-                    f"{entry.name}: stored {format_poly(entry.conway)} with "
-                    f"{entry.components} component(s), recomputed {got}"
-                )
+                stored = _describe(entry.conway, entry.components)
+                bad.append(f"{entry.name}: stored {stored}, recomputed {got}")
         if bad:
             raise TableValidationError(
                 f"{where}: {len(bad)} entries failed engine validation: "

@@ -53,7 +53,7 @@ from .skein import (
     check_skein_identity,
     conway,
 )
-from .table import KnotTableEntry, TableError, check_entry, load_table
+from .table import KnotTableEntry, TableError, _describe, check_entry, load_table
 
 
 class VerifyConfig(SimpleNamespace):
@@ -252,7 +252,7 @@ def k1_chain(
         ("chain_step3_difference", CHAIN_DIFF, diff, "step1 - step2"),
         ("chain_step4_final", CHAIN_FINAL, diff.shift(1), "z * (step1 - step2)"),
     )
-    nonzero = "nonzero" if diff != IntPoly.zero() else "zero"
+    nonzero = "nonzero" if diff != IntPoly() else "zero"
     return [_report("chain_step3_nonzero", "step1 - step2", "nonzero", nonzero)] + [
         _report(name, inputs, expected, format_poly(value))
         for name, expected, value, inputs in rows
@@ -377,7 +377,7 @@ def _property_suite(config: VerifyConfig) -> list[VerificationReport]:
         f"pair {i}"
         for i in range(20)
         if conway(disjoint_union(random_closure(rng, 5), random_closure(rng, 5)), ctx)
-        != IntPoly.zero()
+        != IntPoly()
     ]
     tally("property_split_vanishing", "20 random disjoint unions", fails, 20)
 
@@ -433,7 +433,7 @@ def _table_reports(
             _report(
                 f"table_{entry.name}",
                 f"engine recomputation of PD for {entry.name}",
-                f"{format_poly(entry.conway)} with {entry.components} component(s)",
+                _describe(entry.conway, entry.components),
                 check_entry(entry, ctx)[1],
             )
         )

@@ -60,11 +60,14 @@ def test_torus_edge_values(capsys):
 def test_torus_result_too_long_to_print_is_a_usage_error(capsys):
     # the largest coefficients of m = 21000 have more digits than Python
     # converts to text by default; the closed form reaches that in well
-    # under a second, and the refusal is one line, not a traceback
+    # under a second, and the refusal is one line, not a traceback, naming
+    # the limit and not the Python call a command-line user cannot make
     code, out, err = run(capsys, "torus", "--m", "21000")
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert f"over {sys.get_int_max_str_digits()} digits" in err
+    assert "set_int_max_str_digits" not in err
 
 
 def test_kn(capsys):

@@ -67,7 +67,7 @@ def test_keyword_construction_and_defaults():
     assert SkeinContext().memo is not SkeinContext().memo
     assert Diagram() == Diagram(crossings=(), free_loops=0)
     assert Diagram(free_loops=1).crossings == ()
-    assert IntPoly() == IntPoly(coeffs=()) == IntPoly.zero()
+    assert IntPoly() == IntPoly(coeffs=())
     x = Crossing(a=1, b=4, c=2, d=5, over_in="b")
     assert x == values()["Crossing"] and x.sign == -1
     entry = values()["KnotTableEntry"]

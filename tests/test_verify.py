@@ -317,7 +317,7 @@ PROPERTY_FAULTS = {
         {"property_skein_identity": "12 failures in 43 checks, first: diagram 0"},
     ),
     "odd_knots": (
-        "conway", _plus_if(IntPoly.z().shift(2), lambda d, ctx: len(components(d)) == 1),
+        "conway", _plus_if(IntPoly((0, 0, 0, 1)), lambda d, ctx: len(components(d)) == 1),
         {
             "property_parity_and_linking":
                 "4 failures in 6 checks, first: knot diagram 2: 1+z^3",
@@ -325,7 +325,7 @@ PROPERTY_FAULTS = {
         },
     ),
     "even_links": (
-        "conway", _plus_if(IntPoly.one(), lambda d, ctx: len(components(d)) == 2),
+        "conway", _plus_if(IntPoly((1,)), lambda d, ctx: len(components(d)) == 2),
         {"property_parity_and_linking": "2 failures in 6 checks, first: link diagram 4: 1"},
     ),
     "linking_number": (
@@ -342,7 +342,7 @@ PROPERTY_FAULTS = {
         {"property_basepoint_invariance": "5 failures in 12 checks, first: diagram 2"},
     ),
     "unreduced": (
-        "conway", _plus_if(IntPoly.one(), lambda d, ctx: not ctx.reduce_diagrams),
+        "conway", _plus_if(IntPoly((1,)), lambda d, ctx: not ctx.reduce_diagrams),
         {"property_reduction_invariance": "12 failures in 12 checks, first: diagram 0"},
     ),
     "reduce_grows": (
