@@ -15,7 +15,7 @@ import json
 import sys
 
 from .diagram import components, linking_number, parse_pd, pd_text
-from .poly import format_poly
+from .poly import MAX_EXPONENT, format_poly
 from .skein import (
     NodeBudgetExceeded,
     SkeinContext,
@@ -79,11 +79,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("torus", help="Conway polynomial of the (2, m) torus link")
     p.add_argument("--m", type=int, required=True)
-    add_common(p, run=lambda a: _emit(a, str(a.m), format_poly(conway_torus2(a.m))))
+    add_common(p, run=_run_torus)
 
     p = sub.add_parser("kn", help="Conway polynomial of the n-th twisted knot product")
     p.add_argument("--n", type=int, required=True)
-    add_common(p, run=lambda a: _emit(a, str(a.n), format_poly(conway_Kn(a.n))))
+    add_common(p, run=_run_kn)
 
     p = sub.add_parser("verify", help="run every verification check")
     for bound in _VERIFY_BOUNDS:
@@ -122,6 +122,41 @@ def _run_diagram_command(args: argparse.Namespace) -> None:
             f"nodes expanded: {ctx.nodes_expanded}, cache hits: {ctx.cache_hits}",
             file=sys.stderr,
         )
+
+
+def _refuse_degree(degree: int) -> None:
+    """Refuse, before computing, a result that parse_poly could not read back."""
+    if degree > MAX_EXPONENT:
+        raise ValueError(
+            f"the result has degree {degree}, above the largest exponent "
+            f"conwaykit reads back, {MAX_EXPONENT}"
+        )
+
+
+def _run_torus(args: argparse.Namespace) -> None:
+    _refuse_degree(args.m - 1)
+    _emit(args, str(args.m), format_poly(conway_torus2(args.m)))
+
+
+def _run_kn(args: argparse.Namespace) -> None:
+    n = args.n
+    _refuse_degree(4 * n + 2)
+    # Pythons before 3.10.7 print every int; 0 is no limit
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if n >= 1 and limit:
+        # conway_Kn(n) has 2n + 2 nonzero coefficients, all positive, and its
+        # value at z = 1 is F(2n+3)F(2n+1) (conway_torus2(m) there is the
+        # Fibonacci number F(m)); a sum of at least (2n + 2)10^limit has a
+        # term of over limit digits.  F(k), F(k+1) by fast doubling:
+        f, g = 0, 1
+        for bit in bin(2 * n + 1)[2:]:
+            f, g = f * (2 * g - f), f * f + g * g
+            if bit == "1":
+                f, g = g, f + g
+        if f * (f + g) >= (2 * n + 2) * 10**limit:
+            msg = f"cannot print the result: a coefficient has over {limit} digits"
+            raise ValueError(msg)
+    _emit(args, str(n), format_poly(conway_Kn(n)))
 
 
 def _linking_numbers(d, ctx: SkeinContext) -> dict[str, int]:

@@ -6,9 +6,9 @@ recomputes every polynomial with the skein engine and, by default, refuses
 to hand out entries that fail that cross-validation, so a transcription
 error in the data file cannot silently poison downstream checks.
 
-The table location can be overridden with an explicit path argument or
-the KNOT_TABLE environment variable; the latter is the one override of
-the verification harness, and how its fault-injection path is exercised.
+The KNOT_TABLE environment variable is the one way to point load_table,
+run_all and verify at another file.  check_entry returns the recomputed
+description; an entry matches when it equals the stored description.
 """
 
 from __future__ import annotations
@@ -90,33 +90,25 @@ def _describe(poly: IntPoly, components: int) -> str:
     return f"{format_poly(poly)} with {components} component(s)"
 
 
-def check_entry(
-    entry: KnotTableEntry, ctx: SkeinContext | None = None
-) -> tuple[bool, str]:
-    """Recompute an entry with the skein engine.
-
-    Returns (matches, description of the recomputed values)."""
+def check_entry(entry: KnotTableEntry, ctx: SkeinContext | None = None) -> str:
+    """The entry recomputed by the skein engine, described as _describe
+    writes the stored values, or "pd error: ..." if its PD code does not parse."""
     try:
         d = entry.diagram()
     except ValueError as exc:
-        return False, f"pd error: {exc}"
-    ncomp = len(components(d))
-    value = conway(d, ctx)
-    ok = value == entry.conway and ncomp == entry.components
-    return ok, _describe(value, ncomp)
+        return f"pd error: {exc}"
+    return _describe(conway(d, ctx), len(components(d)))
 
 
-def load_table(
-    path: str | os.PathLike | None = None, validate: bool = True
-) -> dict[str, KnotTableEntry]:
-    """Load the table, keyed by entry name.
+def load_table(validate: bool = True) -> dict[str, KnotTableEntry]:
+    """Load the table at default_table_path(), keyed by entry name.
 
     With validate=True (the default) every entry is recomputed by the
     skein engine and any disagreement raises TableValidationError.  Pass
     validate=False to obtain the raw entries, e.g. to report mismatches
     one by one instead of failing fast.
     """
-    where = Path(path) if path is not None else default_table_path()
+    where = default_table_path()
     try:
         text = where.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -130,9 +122,9 @@ def load_table(
         ctx = SkeinContext()
         bad = []
         for entry in entries.values():
-            ok, got = check_entry(entry, ctx)
-            if not ok:
-                stored = _describe(entry.conway, entry.components)
+            stored = _describe(entry.conway, entry.components)
+            got = check_entry(entry, ctx)
+            if got != stored:
                 bad.append(f"{entry.name}: stored {stored}, recomputed {got}")
         if bad:
             raise TableValidationError(

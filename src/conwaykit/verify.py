@@ -434,7 +434,7 @@ def _table_reports(
                 f"table_{entry.name}",
                 f"engine recomputation of PD for {entry.name}",
                 _describe(entry.conway, entry.components),
-                check_entry(entry, ctx)[1],
+                check_entry(entry, ctx),
             )
         )
     return reports

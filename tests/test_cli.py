@@ -3,12 +3,14 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 import conwaykit
 from conwaykit.cli import main
+from conwaykit.poly import MAX_EXPONENT, format_poly, parse_poly
 
 TREFOIL = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
 T25 = "X(2,8,3,7);X(4,10,5,9);X(6,2,7,1);X(8,4,9,3);X(10,6,1,5)"
@@ -57,17 +59,63 @@ def test_torus_edge_values(capsys):
     assert "error:" in err
 
 
-def test_torus_result_too_long_to_print_is_a_usage_error(capsys):
-    # the largest coefficients of m = 21000 have more digits than Python
-    # converts to text by default; the closed form reaches that in well
-    # under a second, and the refusal is one line, not a traceback, naming
-    # the limit and not the Python call a command-line user cannot make
-    code, out, err = run(capsys, "torus", "--m", "21000")
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        # the largest coefficients of m = 21000 have more digits than Python
+        # converts to text by default; the closed form reaches that in well
+        # under a second
+        (["torus", "--m", "21000"], "over {limit} digits"),
+        # degrees above MAX_EXPONENT, which parse_poly could not read back,
+        # are refused before any coefficient list is built
+        (["torus", "--m", str(10**12)], "exponent conwaykit reads back, {bound}"),
+        (["kn", "--n", str(10**12)], "exponent conwaykit reads back, {bound}"),
+        (["kn", "--n", "25000"], "exponent conwaykit reads back, {bound}"),
+        # kn's digit pre-check refuses before the product
+        (["kn", "--n", "6000"], "over {limit} digits"),
+    ],
+    ids=["torus-21000", "torus-10^12", "kn-10^12", "kn-25000", "kn-6000"],
+)
+def test_torus_result_too_long_to_print_is_a_usage_error(capsys, argv, names):
+    # the refusal is one line, not a traceback, naming the bound or the
+    # limit and not the Python call a command-line user cannot make
+    code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
-    assert f"over {sys.get_int_max_str_digits()} digits" in err
+    assert names.format(limit=sys.get_int_max_str_digits(), bound=MAX_EXPONENT) in err
     assert "set_int_max_str_digits" not in err
+
+
+def test_kn_pre_check_refuses_only_what_cannot_print():
+    # under a limit of 640 digits, kn --n 767 prints and n = 770 is the
+    # first the pre-check refuses (768 and 769 compute, then format_poly
+    # refuses them)
+    src = str(Path(conwaykit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640")
+
+    def kn(n):
+        return subprocess.run(
+            [sys.executable, "-m", "conwaykit.cli", "kn", "--n", str(n)],
+            capture_output=True, text=True, env=env,
+        )
+
+    started = time.perf_counter()
+    proc = kn(770)
+    assert time.perf_counter() - started < 1.0
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (
+        "error: cannot print the result: a coefficient has over 640 digits\n"
+    )
+    proc = kn(767)
+    assert proc.returncode == 0, proc.stderr
+    text = proc.stdout.strip()
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert format_poly(parse_poly(text)) == text
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_kn(capsys):

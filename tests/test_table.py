@@ -43,15 +43,14 @@ def test_mirror_of_ten_crossing_entry():
 def test_check_entry_reports_mismatch():
     table = load_table(validate=False)
     good = table["3_1"]
-    ok, got = check_entry(good)
-    assert ok
+    got = check_entry(good)
     assert got == "1+z^2 with 1 component(s)"
     bad = type(good)(
         name=good.name, pd=good.pd, conway=parse_poly("1+3z^2"), components=1
     )
-    ok, got = check_entry(bad)
-    assert not ok
+    got = check_entry(bad)
     assert got == "1+z^2 with 1 component(s)"
+    assert got != "1+3z^2 with 1 component(s)"
 
 
 def _write_corrupted(tmp_path, mutate):
@@ -72,31 +71,34 @@ def test_env_override(tmp_path, monkeypatch):
     assert default_table_path() != p
 
 
-def test_corrupted_polynomial_rejected(tmp_path):
+def test_corrupted_polynomial_rejected(tmp_path, monkeypatch):
     def mutate(raw):
         entry = next(e for e in raw if e["name"] == "5_2")
         entry["conway"] = "1+9z^2"
 
     p = _write_corrupted(tmp_path, mutate)
+    monkeypatch.setenv("KNOT_TABLE", str(p))
     with pytest.raises(TableValidationError, match="5_2"):
-        load_table(p, validate=True)
+        load_table(validate=True)
     # the raw entries remain accessible for per-entry reporting
-    entries = load_table(p, validate=False)
+    entries = load_table(validate=False)
     assert entries["5_2"].conway == parse_poly("1+9z^2")
-    ok, _ = check_entry(entries["5_2"], SkeinContext())
-    assert not ok
+    got = check_entry(entries["5_2"], SkeinContext())
+    assert got == "1+2z^2 with 1 component(s)"
+    assert got != "1+9z^2 with 1 component(s)"
 
 
-def test_corrupted_component_count_rejected(tmp_path):
+def test_corrupted_component_count_rejected(tmp_path, monkeypatch):
     def mutate(raw):
         next(e for e in raw if e["name"] == "L6a1{1}")["components"] = 1
 
     p = _write_corrupted(tmp_path, mutate)
+    monkeypatch.setenv("KNOT_TABLE", str(p))
     with pytest.raises(TableValidationError):
-        load_table(p, validate=True)
+        load_table(validate=True)
 
 
-def test_structural_errors(tmp_path):
+def test_structural_errors(tmp_path, monkeypatch):
     cases = {
         "not json": "][",
         "not array": "{}",
@@ -122,21 +124,22 @@ def test_structural_errors(tmp_path):
     for label, text in cases.items():
         p = tmp_path / f"{abs(hash(label))}.json"
         p.write_bytes(text if isinstance(text, bytes) else text.encode())
+        monkeypatch.setenv("KNOT_TABLE", str(p))
         with pytest.raises(TableError):
-            load_table(p)
+            load_table()
 
 
-def test_missing_file():
+def test_missing_file(monkeypatch):
+    monkeypatch.setenv("KNOT_TABLE", "/nonexistent/table.json")
     with pytest.raises(TableError, match="cannot read"):
-        load_table("/nonexistent/table.json")
+        load_table()
 
 
 def test_bad_pd_reported_not_raised():
     entry = load_table(validate=False)["3_1"]
     broken = type(entry)(name="x", pd="X(1,2,3)", conway=entry.conway, components=1)
-    ok, got = check_entry(broken)
-    assert not ok
-    assert "pd error" in got
+    got = check_entry(broken)
+    assert got.startswith("pd error: ")
 
 
 @pytest.mark.parametrize(
@@ -149,11 +152,14 @@ def test_bad_pd_reported_not_raised():
         ("components", 1.0, "components must be int"),
     ],
 )
-def test_entry_fields_of_wrong_type_are_table_errors(tmp_path, key, value, message):
+def test_entry_fields_of_wrong_type_are_table_errors(
+    tmp_path, monkeypatch, key, value, message
+):
     def mutate(raw):
         next(e for e in raw if e["name"] == "3_1")[key] = value
 
     p = _write_corrupted(tmp_path, mutate)
+    monkeypatch.setenv("KNOT_TABLE", str(p))
     for validate in (True, False):
         with pytest.raises(TableError, match=message):
-            load_table(p, validate=validate)
+            load_table(validate=validate)
