@@ -124,39 +124,39 @@ def _run_diagram_command(args: argparse.Namespace) -> None:
         )
 
 
-def _refuse_degree(degree: int) -> None:
-    """Refuse, before computing, a result that parse_poly could not read back."""
+def _refuse_unprintable(*ms: int) -> None:
+    """Refuse, before any work, a product of conway_torus2(m) factors that
+    parse_poly could not read back or str() could not print."""
+    degree = sum(ms) - len(ms)
     if degree > MAX_EXPONENT:
-        raise ValueError(
-            f"the result has degree {degree}, above the largest exponent "
-            f"conwaykit reads back, {MAX_EXPONENT}"
-        )
+        bound = f"the largest exponent conwaykit reads back, {MAX_EXPONENT}"
+        raise ValueError(f"the result has degree {degree}, above {bound}")
+    # L = 0, or a Python before 3.10.7, prints every int.  With each m >= 1 the
+    # D // 2 + 1 coefficients (D = degree) are positive and sum to the product of
+    # Fibonacci numbers F(m), so if that is >= (D // 2 + 1)10^L one has over L digits
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit and min(ms) >= 1:
+        total = 1
+        for m in ms:
+            f, g = 0, 1  # F(k), F(k + 1) by fast doubling
+            for bit in bin(m)[2:]:
+                f, g = f * (2 * g - f), f * f + g * g
+                if bit == "1":
+                    f, g = g, f + g
+            total *= f
+        if total >= (degree // 2 + 1) * 10**limit:
+            msg = f"cannot print the result: a coefficient has over {limit} digits"
+            raise ValueError(msg)
 
 
 def _run_torus(args: argparse.Namespace) -> None:
-    _refuse_degree(args.m - 1)
+    _refuse_unprintable(args.m)
     _emit(args, str(args.m), format_poly(conway_torus2(args.m)))
 
 
 def _run_kn(args: argparse.Namespace) -> None:
-    n = args.n
-    _refuse_degree(4 * n + 2)
-    # Pythons before 3.10.7 print every int; 0 is no limit
-    limit = getattr(sys, "get_int_max_str_digits", int)()
-    if n >= 1 and limit:
-        # conway_Kn(n) has 2n + 2 nonzero coefficients, all positive, and its
-        # value at z = 1 is F(2n+3)F(2n+1) (conway_torus2(m) there is the
-        # Fibonacci number F(m)); a sum of at least (2n + 2)10^limit has a
-        # term of over limit digits.  F(k), F(k+1) by fast doubling:
-        f, g = 0, 1
-        for bit in bin(2 * n + 1)[2:]:
-            f, g = f * (2 * g - f), f * f + g * g
-            if bit == "1":
-                f, g = g, f + g
-        if f * (f + g) >= (2 * n + 2) * 10**limit:
-            msg = f"cannot print the result: a coefficient has over {limit} digits"
-            raise ValueError(msg)
-    _emit(args, str(n), format_poly(conway_Kn(n)))
+    _refuse_unprintable(2 * args.n + 3, 2 * args.n + 1)
+    _emit(args, str(args.n), format_poly(conway_Kn(args.n)))
 
 
 def _linking_numbers(d, ctx: SkeinContext) -> dict[str, int]:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import conwaykit
+from conwaykit import cli
 from conwaykit.cli import main
 from conwaykit.poly import MAX_EXPONENT, format_poly, parse_poly
 
@@ -87,35 +88,57 @@ def test_torus_result_too_long_to_print_is_a_usage_error(capsys, argv, names):
     assert "set_int_max_str_digits" not in err
 
 
+def test_refusals_come_before_any_computation(capsys, monkeypatch):
+    def computed(*_):
+        raise AssertionError("computed a result it then refused")
+
+    monkeypatch.setattr(cli, "conway_torus2", computed)
+    monkeypatch.setattr(cli, "conway_Kn", computed)
+    for argv in (
+        ["torus", "--m", "21000"],
+        ["torus", "--m", "100001"],
+        ["torus", "--m", str(10**12)],
+        ["kn", "--n", "6000"],
+        ["kn", "--n", "25000"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+
+
 def test_kn_pre_check_refuses_only_what_cannot_print():
     # under a limit of 640 digits, kn --n 767 prints and n = 770 is the
     # first the pre-check refuses (768 and 769 compute, then format_poly
-    # refuses them)
+    # refuses them); torus --m 3071 prints, 3072 to 3079 compute and get
+    # format_poly's refusal, and 3080 is the first the pre-check refuses
     src = str(Path(conwaykit.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src, PYTHONINTMAXSTRDIGITS="640")
 
-    def kn(n):
+    def cli_run(*argv):
         return subprocess.run(
-            [sys.executable, "-m", "conwaykit.cli", "kn", "--n", str(n)],
+            [sys.executable, "-m", "conwaykit.cli", *argv],
             capture_output=True, text=True, env=env,
         )
 
-    started = time.perf_counter()
-    proc = kn(770)
-    assert time.perf_counter() - started < 1.0
+    refused = "error: cannot print the result: a coefficient has over 640 digits\n"
+    for argv in (["kn", "--n", "770"], ["torus", "--m", "3080"]):
+        started = time.perf_counter()
+        proc = cli_run(*argv)
+        assert time.perf_counter() - started < 1.0, argv
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", refused), argv
+    proc = cli_run("torus", "--m", "3072")
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == (
-        "error: cannot print the result: a coefficient has over 640 digits\n"
-    )
-    proc = kn(767)
-    assert proc.returncode == 0, proc.stderr
-    text = proc.stdout.strip()
+    assert proc.stderr.startswith("error: cannot print the coefficient of z^")
     limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        assert format_poly(parse_poly(text)) == text
-    finally:
-        sys.set_int_max_str_digits(limit)
+    for argv in (["kn", "--n", "767"], ["torus", "--m", "3071"]):
+        proc = cli_run(*argv)
+        assert proc.returncode == 0, proc.stderr
+        text = proc.stdout.strip()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert format_poly(parse_poly(text)) == text
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_kn(capsys):
