@@ -76,10 +76,6 @@ class Crossing(NamedTuple):
     over_in: str  # 'b' or 'd'
 
     @property
-    def over_in_arc(self) -> int:
-        return self.b if self.over_in == "b" else self.d
-
-    @property
     def sign(self) -> int:
         return 1 if self.over_in == "d" else -1
 
@@ -199,11 +195,6 @@ class Diagram:
                 rest.difference_update(cycle)
                 first = min(rest)
         return tuple(cycles)
-
-    @_cached
-    def _owner(self) -> dict[int, int]:
-        """Arc -> index of its component in _cycles."""
-        return {arc: k for k, cycle in enumerate(self._cycles) for arc in cycle}
 
     @_cached
     def _unsettled(self) -> frozenset[int]:
@@ -378,11 +369,11 @@ def linking_number(d: Diagram, c1: int, c2: int) -> int:
         raise ValueError(f"component index out of range (diagram has {n})")
     if c1 == c2:
         raise ValueError("linking number needs two distinct components")
-    owner = d._owner
+    one, other = set(comps[c1]), set(comps[c2])
     total = 0
-    wanted = {c1, c2}
+    # b is on the overstrand whichever way it runs
     for x in d.crossings:
-        if {owner[x.a], owner[x.over_in_arc]} == wanted:
+        if x.a in one and x.b in other or x.a in other and x.b in one:
             total += x.sign
     return total // 2
 
@@ -554,7 +545,7 @@ def is_graph_connected(d: Diagram) -> bool:
     joins = len(d._cycles) - 1
     if not joins:
         return True
-    owner = d._owner
+    owner = {arc: k for k, cycle in enumerate(d._cycles) for arc in cycle}
     piece = list(range(joins + 1))  # component -> piece label
     # b is on the overstrand whichever way it runs
     for a, b, _, _, _ in d.crossings:

@@ -23,6 +23,11 @@ def writhe(d: Diagram) -> int:
     return sum(x.sign for x in d.crossings)
 
 
+def over_in_arc(x: Crossing) -> int:
+    """The arc the overstrand enters x on: the one of b/d that over_in names."""
+    return x.b if x.over_in == "b" else x.d
+
+
 def over_out_arc(x: Crossing) -> int:
     """The arc the overstrand leaves x on: the one of b/d it does not enter on."""
     return x.d if x.over_in == "b" else x.b
@@ -34,7 +39,7 @@ def reverse_component(d: Diagram, comp: int) -> Diagram:
     out = []
     for x in d.crossings:
         a, b, c, d_, over_in = x
-        if (a in arcs) != (x.over_in_arc in arcs):
+        if (a in arcs) != (over_in_arc(x) in arcs):
             over_in = "b" if over_in == "d" else "d"  # one strand turns: the sign flips
         if a in arcs:
             a, b, c, d_ = c, d_, a, b  # the understrand now enters at c
@@ -58,7 +63,7 @@ def meridian_link(d: Diagram, arc: int | None = None) -> Diagram:
     # arc now ends at the first clasp crossing, and w takes its old end slot
     xs = [
         x._replace(a=w) if x.a == arc
-        else x._replace(**{x.over_in: w}) if x.over_in_arc == arc
+        else x._replace(**{x.over_in: w}) if over_in_arc(x) == arc
         else x
         for x in d.crossings
     ]

@@ -11,6 +11,7 @@ import pytest
 import conwaykit
 from conwaykit import cli
 from conwaykit.cli import main
+from conwaykit.diagram import linking_number, parse_pd
 from conwaykit.poly import MAX_EXPONENT, format_poly, parse_poly
 
 TREFOIL = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"
@@ -159,6 +160,31 @@ def test_lk_json(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"] == {"lk(0,1)": 1}
+
+
+# the closure of s1^2 s2^-2 on 3 strands: components (1,5), (2,4,7,9) and
+# (3,8), crossed at slot b by strands running both ways (over_in d, d, b, b)
+THREE_LINK = "X(2,5,4,1);X(5,7,1,4);X(7,3,9,8);X(8,9,3,2)"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_lk_of_a_three_component_link(capsys, fmt):
+    def shown(command, text, result):
+        code, out, err = run(capsys, command, "--pd", THREE_LINK, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert (json.loads(out)["result"] if fmt == "json" else out) == (
+            result if fmt == "json" else text
+        )
+
+    shown(
+        "lk",
+        "lk(0,1) = 1\nlk(0,2) = 0\nlk(1,2) = -1\n",
+        {"lk(0,1)": 1, "lk(0,2)": 0, "lk(1,2)": -1},
+    )
+    shown("conway", "-z^2\n", "-z^2")
+    # a free loop, component 3, links nothing
+    d = parse_pd(THREE_LINK + ";O")
+    assert [linking_number(d, i, 3) for i in range(3)] == [0, 0, 0]
 
 
 def test_lk_knot_has_no_pairs(capsys):

@@ -39,7 +39,7 @@ from conwaykit.diagram import (
 from conwaykit.poly import IntPoly
 from conwaykit.skein import conway
 
-from knot_helpers import over_out_arc, reverse_component, writhe
+from knot_helpers import over_in_arc, over_out_arc, reverse_component, writhe
 
 TREFOIL_PD = "X(1,4,2,5);X(3,6,4,1);X(5,2,6,3)"  # standard table code, writhe -3
 
@@ -325,6 +325,20 @@ def test_pickle_and_copies_carry_only_the_fields():
             assert vars(clone).keys() == {"crossings", "free_loops"}
 
 
+def test_removed_members_stay_removed():
+    # slot b is on the overstrand whichever way it runs, so a crossing has
+    # no arc readers; a diagram caches its two arc maps, its component walk
+    # and the reduction mark, and no arc -> component map
+    for name in ("over_in_arc", "over_out_arc", "slots"):
+        assert not hasattr(Crossing, name), name
+    d = torus2_diagram(4)
+    assert conway(d) == IntPoly((0, 2, 0, 1))
+    assert linking_number(d, 0, 1) == 2
+    assert is_graph_connected(d)
+    cached = {"crossings", "free_loops", "_passes", "_cycles", "_unsettled"}
+    assert vars(d).keys() <= cached
+
+
 # -- connectivity ---------------------------------------------------------------
 
 
@@ -382,7 +396,7 @@ def test_canonical_code_keeps_every_over_direction():
             # the docstring's rule: the over-out arc follows the over-in arc
             wrap = {cycle[-1]: cycle[0] for cycle in components(walked) if cycle}
             for x in walked.crossings:
-                assert over_out_arc(x) == wrap.get(x.over_in_arc, x.over_in_arc + 1)
+                assert over_out_arc(x) == wrap.get(over_in_arc(x), over_in_arc(x) + 1)
             parsed = parse_pd(canonical_code(e))
             unders = {x.a for x in walked.crossings}
             # a component that passes under nowhere records no direction in

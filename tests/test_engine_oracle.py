@@ -36,7 +36,7 @@ from conwaykit.diagram import (
 )
 from conwaykit.skein import SkeinContext, conway
 
-from knot_helpers import over_out_arc
+from knot_helpers import over_in_arc, over_out_arc
 
 # -- reference implementations ----------------------------------------------------
 
@@ -45,7 +45,7 @@ def ref_components(d: Diagram) -> tuple[tuple[int, ...], ...]:
     succ: dict[int, int] = {}
     for x in d.crossings:
         succ[x.a] = x.c
-        succ[x.over_in_arc] = over_out_arc(x)
+        succ[over_in_arc(x)] = over_out_arc(x)
     seen: set[int] = set()
     cycles: list[tuple[int, ...]] = []
     for start in sorted(succ):
@@ -104,7 +104,7 @@ def ref_remove_crossings(d: Diagram, gone: set[int], bridges: dict[int, int]) ->
 
 def ref_smooth(d: Diagram, i: int) -> Diagram:
     x = d.crossings[i]
-    return ref_remove_crossings(d, {i}, {x.a: over_out_arc(x), x.over_in_arc: x.c})
+    return ref_remove_crossings(d, {i}, {x.a: over_out_arc(x), over_in_arc(x): x.c})
 
 
 def ref_unsettled(d: Diagram, i: int) -> frozenset[int] | None:
@@ -119,7 +119,7 @@ def ref_unsettled(d: Diagram, i: int) -> frozenset[int] | None:
 
 def ref_r1_index(d: Diagram) -> int | None:
     for i, x in enumerate(d.crossings):
-        if x.c == x.over_in_arc or x.a == over_out_arc(x):
+        if x.c == over_in_arc(x) or x.a == over_out_arc(x):
             return i
     return None
 
@@ -131,7 +131,7 @@ def ref_r2_pair(d: Diagram) -> tuple[int, int] | None:
             if x.sign == y.sign:
                 continue
             over_direct = (
-                over_out_arc(x) == y.over_in_arc or over_out_arc(y) == x.over_in_arc
+                over_out_arc(x) == over_in_arc(y) or over_out_arc(y) == over_in_arc(x)
             )
             under_direct = x.c == y.a or y.c == x.a
             if over_direct and under_direct:
@@ -144,15 +144,15 @@ def ref_reduce(d: Diagram) -> Diagram:
         i = ref_r1_index(d)
         if i is not None:
             x = d.crossings[i]
-            d = ref_remove_crossings(d, {i}, {x.a: x.c, x.over_in_arc: over_out_arc(x)})
+            d = ref_remove_crossings(d, {i}, {x.a: x.c, over_in_arc(x): over_out_arc(x)})
             continue
         pair = ref_r2_pair(d)
         if pair is not None:
             i, j = pair
             x, y = d.crossings[i], d.crossings[j]
             bridges = {x.a: x.c, y.a: y.c}
-            bridges[x.over_in_arc] = over_out_arc(x)
-            bridges[y.over_in_arc] = over_out_arc(y)
+            bridges[over_in_arc(x)] = over_out_arc(x)
+            bridges[over_in_arc(y)] = over_out_arc(y)
             d = ref_remove_crossings(d, {i, j}, bridges)
             continue
         return d
@@ -263,7 +263,7 @@ def arc_shape(x: Crossing) -> tuple[bool, bool, bool, bool]:
     """Which arcs of x coincide: the two kinks a == over-out and
     over-in == c, then the strand loops over-in == over-out and a == c
     (which planar diagrams never have)."""
-    oi, oo = x.over_in_arc, over_out_arc(x)
+    oi, oo = over_in_arc(x), over_out_arc(x)
     return (x.a == oo, oi == x.c, oi == oo, x.a == x.c)
 
 
@@ -321,6 +321,20 @@ def test_reduce_of_unreduced_inputs_matches_reference(word):
         d = switch_crossing(d, x)
     for _ in range(5):
         assert_agrees(relabeled(d, rng))
+
+
+@pytest.mark.parametrize("k", [10, 20, 40, 60])
+def test_reduce_clears_r2_and_kink_chains_as_the_reference_does(k):
+    # the chains a linear-time reduce must clear with the same moves: k R2
+    # pairs on 2 strands leave both strands as free loops, and k - 1 kinks
+    # on k strands leave one
+    for d, loops in (
+        (_braid_closure([1, -1] * k, 2), 2),
+        (_braid_closure(range(1, k), k), 1),
+    ):
+        got = reduce(d)
+        assert got == ref_reduce(fresh(d))
+        assert (got.crossings, got.free_loops) == ((), loops)
 
 
 def test_smoothing_matches_reference_at_every_crossing():
