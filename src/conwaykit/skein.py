@@ -14,8 +14,8 @@ decreases lexicographically and the recursion terminates.
 
 Values are memoized on canonical diagram codes in a SkeinContext, which
 also carries a node budget so runaway inputs fail fast instead of hanging.
-The recursion runs on an explicit stack, so diagram size is bounded by the
-node budget, not by Python's recursion limit.
+A node that splits waits on one explicit stack frame, not a Python frame, so
+diagram size is bounded by the node budget, not by Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class NodeBudgetExceeded(RuntimeError):
 
 
 class SkeinInvariantError(RuntimeError):
-    """A switch step failed to lower the (crossings, under-first) measure.
+    """A skein child's (crossings, under-first) measure is not below its parent's.
 
     On a valid diagram this cannot happen; it stops the computation rather
     than risk a search that never ends.
@@ -97,18 +97,15 @@ def conway(d: Diagram, ctx: SkeinContext | None = None) -> IntPoly:
     """
     if ctx is None:
         ctx = SkeinContext()
-    # A switch chain runs in the loop: pending holds, outermost first, the
-    # memo key of each chain diagram together with the signed
-    # z * nabla(smoothing) term its skein step contributed.  A smoothing
-    # starts a new chain; the chain that needs its value waits on
-    # `suspended` as (pending, switched diagram, measure, key, sign) and
-    # resumes at the switched diagram once the value is known.  Holding the
-    # switched diagram rather than the current one lets the current one's
-    # cached arc data be freed while the smoothing is computed.
-    suspended: list[tuple[list, Diagram, tuple[int, int], str, int]] = []
-    pending: list[tuple[str, int, IntPoly]] = []
+    # One frame per node that splits, while its children run:
+    # [key, measure, sign, switched child until it runs, z * nabla(smoothing)
+    # once known].  The smoothing runs first, then the switched child; the
+    # node's value goes to the memo when its frame pops.  Every memo-miss
+    # node's measure must drop below its parent's, the top frame's.  A frame
+    # holds its switched child, not its own diagram, so the node's cached
+    # arc data is freed while its children run.
+    stack: list[list] = []
     current = d
-    prev_measure: tuple[int, int] | None = None
     memo = ctx.memo
     while True:
         ctx.nodes_expanded += 1
@@ -132,25 +129,28 @@ def conway(d: Diagram, ctx: SkeinContext | None = None) -> IntPoly:
             else:
                 bad_index, bad_count = _first_visit_scan(current)
                 measure = (len(current.crossings), bad_count)
-                if prev_measure is not None and not measure < prev_measure:
+                if stack and not measure < stack[-1][1]:
                     raise SkeinInvariantError(
-                        "skein measure %r did not drop below %r" % (measure, prev_measure)
+                        "skein measure %r did not drop below %r" % (measure, stack[-1][1])
                     )
                 if bad_index is not None:
                     x = current.crossings[bad_index]
-                    switched = switch_crossing(current, x)
-                    suspended.append((pending, switched, measure, key, x.sign))
-                    pending, current, prev_measure = [], smooth_crossing(current, x), None
+                    stack.append([key, measure, x.sign, switch_crossing(current, x), None])
+                    current = smooth_crossing(current, x)
                     continue
                 value = _ONE if len(current._cycles) == 1 else _ZERO
                 memo[key] = value
-        for key, s, term in reversed(pending):
-            value = value + term if s > 0 else value - term
+        # value is current's: pop every frame whose switched child it ends
+        while stack and stack[-1][4] is not None:
+            key, _, sign, _, term = stack.pop()
+            value = value + term if sign > 0 else value - term
             memo[key] = value
-        if not suspended:
+        if not stack:
             return value
-        pending, current, prev_measure, key, sign = suspended.pop()
-        pending.append((key, sign, value.shift(1)))
+        # value is the top frame's smoothing: its switched child runs next
+        frame = stack[-1]
+        frame[4] = value.shift(1)
+        current, frame[3] = frame[3], None
 
 
 def conway_torus2(m: int) -> IntPoly:

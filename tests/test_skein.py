@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 import sys
+import weakref
 
 import pytest
 
@@ -131,8 +132,13 @@ def test_conway_Kn():
             torus2_diagram(2 * n + 3), 1, mirror(torus2_diagram(2 * n + 1)), 1
         )
         assert conway(built) == conway_Kn(n), n
-    for n in range(1, 21):
-        assert conway_Kn(n).coeff(0) == 1
+    # a2(T(2, 2j+1)) = j(j+1)/2 adds under connected sum, giving (n+1)^2;
+    # the degrees 2n+2 and 2n add to 4n+2, and both ends are 1 in each factor
+    for n in range(1, 61):
+        p = conway_Kn(n)
+        assert p.coeff(2) == (n + 1) ** 2, n
+        assert len(p.coeffs) - 1 == 4 * n + 2, n
+        assert p.coeffs[0] == p.coeffs[-1] == 1, n
     with pytest.raises(ValueError):
         conway_Kn(0)
 
@@ -337,7 +343,7 @@ def test_deep_smoothing_chains_need_no_recursion():
     assert value == conway_torus2(300)
 
 
-def test_measure_that_does_not_drop_raises_a_typed_error(monkeypatch):
+def stuck_switch(monkeypatch):
     real_scan = skein._first_visit_scan
 
     def stuck_scan(d):
@@ -346,8 +352,41 @@ def test_measure_that_does_not_drop_raises_a_typed_error(monkeypatch):
 
     monkeypatch.setattr(skein, "_first_visit_scan", stuck_scan)
     monkeypatch.setattr(skein, "_reduce", lambda d: d)
-    with pytest.raises(SkeinInvariantError):
-        conway(parse_pd("X(1,4,2,5);X(5,2,6,3);X(3,6,4,1)"))
+
+
+def stuck_smoothing(monkeypatch):
+    monkeypatch.setattr(skein, "smooth_crossing", lambda d, x: d)
+
+
+@pytest.mark.parametrize(
+    "plant", [stuck_switch, stuck_smoothing], ids=["switched", "smoothed"]
+)
+def test_measure_that_does_not_drop_raises_a_typed_error(monkeypatch, plant):
+    plant(monkeypatch)
+    # without the check on that edge the budget would stop the search
+    with pytest.raises(SkeinInvariantError, match="did not drop below"):
+        conway(
+            parse_pd("X(1,4,2,5);X(5,2,6,3);X(3,6,4,1)"),
+            SkeinContext(node_budget=1000),
+        )
+
+
+def test_a_waiting_node_keeps_no_diagram_of_its_own(monkeypatch):
+    # torus2_diagram(40) smooths 39 times in a row, so 38 nodes wait while
+    # the 2-crossing diagram is smoothed; only that diagram and the root,
+    # which the caller holds, may still be alive then
+    inputs, alive = [], []
+    real_smooth = skein.smooth_crossing
+
+    def recording(d, x):
+        inputs.append(weakref.ref(d))
+        if len(d.crossings) == 2:
+            alive.append(sum(r() is not None for r in inputs))
+        return real_smooth(d, x)
+
+    monkeypatch.setattr(skein, "smooth_crossing", recording)
+    assert conway(torus2_diagram(40)) == conway_torus2(40)
+    assert alive and max(alive) <= 2, alive
 
 
 def test_memo_reuse():
