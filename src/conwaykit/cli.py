@@ -5,13 +5,15 @@ evaluate the torus-link closed form and the knot-family product (torus,
 kn), or run the full verification harness (verify).  Results go to
 stdout, diagnostics to stderr.  Exit codes: 0 success / all checks
 passed, 1 failed verification, exhausted node budget or a broken engine
-invariant, 2 usage or input errors.
+invariant, 2 usage or input errors, 141 (128 + SIGPIPE) a stdout closed
+before the output was written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .diagram import components, linking_number, parse_pd, pd_text
@@ -205,7 +207,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        return args.run(args) or 0  # None from a handler is success
+        status = args.run(args) or 0  # None from a handler is success
+        # a reader that left before the last buffer is caught here, not at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the exit flush writes what is left to the null device, quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (NodeBudgetExceeded, SkeinInvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

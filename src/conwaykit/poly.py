@@ -101,11 +101,7 @@ class IntPoly:
     def __sub__(self, other: IntPoly) -> IntPoly:
         if other.__class__ is not IntPoly:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [0] * (len(b) - len(a))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return _exact(out)
+        return self + -other
 
     def __mul__(self, other: IntPoly | int) -> IntPoly:
         if other.__class__ is not IntPoly:

@@ -142,6 +142,22 @@ def test_kn_pre_check_refuses_only_what_cannot_print():
             sys.set_int_max_str_digits(limit)
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_141_quietly(fmt):
+    # torus --m 3000 prints 685 KB, far more than a pipe holds, so the
+    # reader's close always comes before the last write; 141 is 128 + SIGPIPE
+    src = str(Path(conwaykit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "conwaykit.cli", "torus", "--m", "3000", "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (141, b"")
+
+
 def test_kn(capsys):
     code, out, _ = run(capsys, "kn", "--n", "1")
     assert (code, out) == (0, "1+4z^2+4z^4+z^6\n")

@@ -134,6 +134,8 @@ def test_ring_axioms_on_random_triples():
         assert p * (q + r) == p * q + p * r
         assert p + IntPoly() == p
         assert p * IntPoly((1,)) == p
+        assert (p - q) + q == p
+        assert p - q == -(q - p)
 
 
 def test_degree_additivity_for_nonzero_products():
